@@ -1,10 +1,10 @@
 """Nonlinear Bayesian state estimation on a spectral grid.
 
 The package predicts a filter's prior by transporting the posterior density
-along representative characteristics with Chebyshev-collocation matrix
-exponentials, updates it by Bayes' rule, and benchmarks the result against
-bootstrap particle filtering and unscented Kalman filtering on the classic
-scalar growth model.
+along representative characteristics with the exact propagator of a
+Chebyshev-collocation advection operator, updates it by Bayes' rule, and
+benchmarks the result against bootstrap particle filtering and unscented
+Kalman filtering on the classic scalar growth model.
 """
 
 from .chebyshev import Interval, SpectralGrid

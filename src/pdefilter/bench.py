@@ -141,12 +141,17 @@ class RmseReport:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One step of a single-run trajectory: truth, observation, estimates."""
+    """One step of a single-run trajectory: truth, observation, estimates.
+
+    ``failures`` maps each filter that failed at this step to the reason,
+    ``"ErrorType: message"``; its estimate here and later is None.
+    """
 
     k: int
     truth: float
     observation: float
     estimates: dict
+    failures: dict = field(default_factory=dict)
 
 
 def run_seed_streams(master_seed: int, run_index: int):
@@ -229,8 +234,8 @@ def run_trajectory(
 ) -> list:
     """Single seeded run, recording per-step estimates for every filter.
 
-    A filter that fails mid-run keeps its completed estimates; later steps
-    are recorded as missing (None).
+    A filter that fails mid-run keeps its completed estimates; the failing
+    step records the reason and it and later steps are missing (None).
     """
     model = benchmark_model() if model is None else model
     noise = f.gaussian_quantile_points(
@@ -240,15 +245,17 @@ def run_trajectory(
     truth, observations = simulate_truth(model, cfg.steps, truth_rng)
 
     estimates = {}
+    failures = [{} for _ in range(cfg.steps)]
     for name in cfg.filters:
-        per_step = [None] * cfg.steps
+        per_step = []
         stepper = _step_estimates(name, cfg, model, noise, observations, pf_rng)
         try:
-            for i, value in enumerate(stepper):
-                per_step[i] = float(value)
-        except _FAILURE_KINDS:
-            pass  # keep the completed prefix, leave the rest missing
-        estimates[name] = per_step
+            for value in stepper:
+                per_step.append(float(value))
+        except _FAILURE_KINDS as err:
+            # keep the completed prefix, leave the rest missing
+            failures[len(per_step)][name] = f"{type(err).__name__}: {err}"
+        estimates[name] = per_step + [None] * (cfg.steps - len(per_step))
 
     return [
         TrajectoryRecord(
@@ -256,6 +263,7 @@ def run_trajectory(
             truth=float(truth[k - 1]),
             observation=float(observations[k - 1]),
             estimates={name: estimates[name][k - 1] for name in cfg.filters},
+            failures=failures[k - 1],
         )
         for k in range(1, cfg.steps + 1)
     ]
@@ -309,7 +317,11 @@ def write_runs_csv(path, reports, config_echo: str) -> None:
 
 
 def write_trajectory_csv(path, records, config_echo: str) -> None:
-    """Per-step trajectory rows; absent filters leave their field empty."""
+    """Per-step trajectory rows; absent filters leave their field empty.
+
+    Each filter failure is appended after the rows as a line
+    ``# failed: <filter> step <k>: <ErrorType>: <message>``.
+    """
     with open(path, "w", newline="") as handle:
         handle.write(f"# config: {config_echo}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -326,3 +338,9 @@ def write_trajectory_csv(path, records, config_echo: str) -> None:
                     ),
                 ]
             )
+        for record in records:
+            for name in FILTER_ORDER:
+                if name in record.failures:
+                    handle.write(
+                        f"# failed: {name} step {record.k}: {record.failures[name]}\n"
+                    )

@@ -128,15 +128,13 @@ class PdefConfig:
 
     ``grid_nodes`` is the node count of the spectral grid (the polynomial
     order is one less), ``state_quantiles`` the number of equal-probability
-    posterior points entering each prediction, ``velocity_bins`` the number
-    of propagator bins per step (None for exact per-branch exponentials) and
-    ``width_factor`` the mollification width in node spacings.
+    posterior points entering each prediction and ``width_factor`` the
+    mollification width in node spacings.
     """
 
     grid_nodes: int = 100
     state_quantiles: int = 16
     width_factor: float = 1.5
-    velocity_bins: int | None = 64
 
     def __post_init__(self):
         if self.grid_nodes < 4:
@@ -249,7 +247,7 @@ def pdef_step(
         )
         grid = SpectralGrid.build(cfg.grid_nodes - 1, domain)
         try:
-            prior = assemble_prior(branches, grid, cfg.width_factor, cfg.velocity_bins)
+            prior = assemble_prior(branches, grid, cfg.width_factor)
             break
         except DomainEscapeError:
             if attempt == 5:

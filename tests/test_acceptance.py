@@ -76,17 +76,21 @@ def _fig2_seed(records, exact):
     criterion 02, given the exact filter's per-step means.
 
     A filter that failed mid-run has no estimate (None) from some step on;
-    that is a failed clause naming the filter and its first missing step.
+    that is a failed clause naming the filter, its first missing step and
+    the reason recorded there.
     """
     truth = np.array([r.truth for r in records])
     estimates = {"exact": np.asarray(exact, dtype=float)}
     clauses = {}
     for name in ("ukf", "pf", "pdef"):
-        missing = next((r.k for r in records if r.estimates[name] is None), None)
+        missing = next((r for r in records if r.estimates[name] is None), None)
         if missing is None:
             estimates[name] = np.array([r.estimates[name] for r in records])
         else:
-            clauses[f"{name} failed mid-run, first missing step {missing}"] = False
+            reason = missing.failures.get(name, "reason not recorded")
+            clauses[
+                f"{name} failed mid-run, first missing step {missing.k}: {reason}"
+            ] = False
     rmses = {name: rmse(truth, est) for name, est in estimates.items()}
     fractions = {}
     if "ukf" in estimates:
@@ -146,12 +150,14 @@ def test_criterion_02_names_filter_failed_mid_run():
             observation=0.0,
             estimates={"ukf": k + 3.0, "pf": None if k >= 3 else float(k),
                        "pdef": k + 0.5},
+            failures={"pf": "WeightUnderflowError: underflow"} if k == 3 else {},
         )
         for k in range(1, 6)
     ]
     clauses, rmses, fractions = _fig2_seed(records, np.arange(1.0, 6.0))
     assert clauses == {
-        "pf failed mid-run, first missing step 3": False,
+        "pf failed mid-run, first missing step 3: "
+        "WeightUnderflowError: underflow": False,
         "rmse(pdef) < rmse(ukf)": True,
         "rmse(exact) < rmse(ukf)": True,
     }
@@ -239,7 +245,7 @@ def test_criterion_06_prior_prediction_mc():
     branches = dn.make_branches(posterior, noise, model, 1, 16)
     domain = dn.prediction_domain(branches, 99, 1.5, model.process_noise.std)
     grid = SpectralGrid.build(99, domain)
-    prior = dn.assemble_prior(branches, grid, velocity_bins=64)
+    prior = dn.assemble_prior(branches, grid)
 
     rng = np.random.default_rng(123456)
     draws = 10**6
@@ -318,9 +324,7 @@ def test_criterion_08_bayes_update_properties():
     state = flt.pdef_init(model, cfg)
     branches = dn.make_branches(state.posterior, noise, model, 1, 16)
     domain = dn.prediction_domain(branches, 99, 1.5, 1.0)
-    prior = dn.assemble_prior(
-        branches, SpectralGrid.build(99, domain), 1.5, cfg.velocity_bins
-    )
+    prior = dn.assemble_prior(branches, SpectralGrid.build(99, domain), 1.5)
     stepped = flt.pdef_step(state, model, noise, 1, 0.3, cfg)
     flat_lik_l1 = dn.l1_distance(stepped.posterior, prior)
 

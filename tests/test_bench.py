@@ -204,6 +204,33 @@ class TestRunTrajectory:
             assert set(record.estimates) == {"ukf", "pf", "pdef"}
             for value in record.estimates.values():
                 assert value is not None
+            assert record.failures == {}
+
+    def test_failure_reason_reaches_records_and_csv(self, tmp_path):
+        # one particle and a near-exact observation: its only weight
+        # underflows at the first step
+        base = bench.benchmark_model()
+        model = flt.ScalarStateModel(
+            transition=base.transition,
+            observation=base.observation,
+            process_noise=base.process_noise,
+            obs_noise=flt.GaussianSpec(0.0, 1e-12),
+            initial=base.initial,
+        )
+        cfg = ExperimentConfig(
+            filters=("ukf", "pf"), steps=4, runs=1, particles=1, seed=3
+        )
+        records = bench.run_trajectory(cfg, model=model)
+        reason = "WeightUnderflowError: all particle likelihoods underflowed at step 1"
+        assert records[0].failures == {"pf": reason}
+        assert all(r.estimates["pf"] is None for r in records)
+        assert all(r.estimates["ukf"] is not None for r in records)
+        assert all(r.failures == {} for r in records[1:])
+        path = tmp_path / "traj.csv"
+        bench.write_trajectory_csv(path, records, "filter=pf")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + cfg.steps + 1
+        assert lines[-1] == f"# failed: pf step 1: {reason}"
 
 
 class TestCsvOutput:
@@ -251,6 +278,7 @@ class TestCsvOutput:
         assert lines[1] == "k,truth,observation,ukf,pf,pdef"
         assert lines[2] == "1,1.5,0.25,,1.31,"
         assert lines[3] == "2,-0.5,0.1,,,"
+        assert len(lines) == 4
 
     def test_byte_identical_rewrites(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

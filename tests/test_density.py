@@ -5,10 +5,16 @@ import pytest
 from scipy.special import ndtri
 
 from pdefilter import density as dn
+from pdefilter import linalg
 from pdefilter.bench import benchmark_model
 from pdefilter.chebyshev import Interval, SpectralGrid
 from pdefilter.errors import DomainEscapeError, FilterDivergenceError
-from pdefilter.filters import GaussianSpec, NoiseQuantization, ScalarStateModel
+from pdefilter.filters import (
+    GaussianSpec,
+    NoiseQuantization,
+    ScalarStateModel,
+    gaussian_quantile_points,
+)
 
 from _oracles import gaussian_pdf
 
@@ -23,6 +29,20 @@ def gaussian_density(grid, mean, variance):
     return dn.normalize(
         dn.GridDensity(grid, gaussian_pdf(grid.nodes, mean, variance))
     )
+
+
+def expm_prior(branches, grid, width_factor=1.5):
+    """Reference prior: one linalg.expm of the folded generator per branch,
+    applied to the folded bump, summed, clipped once and normalized."""
+    n = grid.order
+    accum = np.zeros(n)
+    for branch in branches:
+        bump = dn.mollified_delta(grid, branch.start_state, width_factor).values
+        folded = np.concatenate([[0.5 * (bump[0] + bump[n])], bump[1:n]])
+        propagator = linalg.expm(dn.folded_generator(grid, branch.velocity))
+        accum += branch.mass * (propagator @ folded)
+    values = np.clip(np.concatenate([accum, accum[:1]]), 0.0, None)
+    return dn.normalize(dn.GridDensity(grid, values))
 
 
 def linear_model(slope=1.0):
@@ -132,6 +152,48 @@ class TestAdvectStep:
         start = gaussian_density(grid, 0.0, 1.0)
         with pytest.raises(ValueError, match="finite"):
             dn.advect_step(start, np.inf)
+
+
+class TestSpectralPropagator:
+    # the cached eigensystem of the unit folded generator F_N is the only
+    # transport path; linalg.expm is its reference
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    @pytest.mark.parametrize("scale", [0.3, 3.0, 30.0])
+    def test_matches_expm(self, order, scale):
+        unit = SpectralGrid.build(order, Interval(-1.0, 1.0))
+        expected = linalg.expm(dn.folded_generator(unit, scale))
+        eye = np.eye(order)
+        got = np.column_stack(
+            [
+                dn._transport(order, eye[j:j + 1], np.array([scale]), np.ones(1))
+                for j in range(order)
+            ]
+        )
+        rel = linalg.one_norm(got - expected) / linalg.one_norm(expected)
+        assert rel <= 1e-9
+
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    def test_eigensystem_is_safe_to_exponentiate(self, order):
+        # eigenvector exponentials are only trustworthy for a well
+        # conditioned V and, for a neutral transport, an imaginary spectrum
+        eig = dn._eigensystem(order)
+        assert eig.cond <= 10.0
+        assert np.abs(eig.alpha).max() <= 1e-10
+
+    def test_eigensystem_is_cached_per_order(self):
+        assert dn._eigensystem(47) is dn._eigensystem(47)
+
+    def test_batch_is_weighted_sum_of_single_transports(self):
+        rng = np.random.default_rng(5)
+        folded = rng.normal(size=(3, 30))
+        shifts = np.array([-0.7, 0.1, 2.5])
+        weights = np.array([0.2, 0.3, 0.5])
+        batch = dn._transport(30, folded, shifts, weights)
+        singles = sum(
+            w * dn._transport(30, f[None, :], np.array([t]), np.ones(1))
+            for f, t, w in zip(folded, shifts, weights)
+        )
+        assert np.abs(batch - singles).max() <= 1e-12
 
 
 class TestMakeBranches:
@@ -251,20 +313,39 @@ class TestAssemblePrior:
         sigma = dn.mollification_sigma(grid, 0.0, 1.5)
         assert abs(dn.mean(prior) - target) <= 2.0 * sigma
 
-    def test_binned_matches_exact_on_benchmark_step(self):
+    def test_matches_per_branch_expm_on_benchmark_step(self):
         # one full benchmark prediction from a Gaussian posterior
         model = benchmark_model()
         start_grid = wide_grid(99, 18.0)
         posterior = gaussian_density(start_grid, 0.0, 5.0)
-        from pdefilter.filters import gaussian_quantile_points
-
         noise = gaussian_quantile_points(16, model.process_noise.variance)
         branches = dn.make_branches(posterior, noise, model, 1, 16)
         domain = dn.prediction_domain(branches, 99, 1.5, model.process_noise.std)
         grid = SpectralGrid.build(99, domain)
-        binned = dn.assemble_prior(branches, grid, velocity_bins=64)
-        exact = dn.assemble_prior(branches, grid, velocity_bins=None)
-        assert dn.l1_distance(binned, exact) <= 1e-3
+        prior = dn.assemble_prior(branches, grid)
+        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+
+    def test_matches_per_branch_expm_over_several_chunks(self):
+        # 20 x 16 = 320 branches on a small grid: more than one batch
+        posterior = gaussian_density(wide_grid(32, 8.0), 0.0, 1.0)
+        noise = gaussian_quantile_points(16, 1.0)
+        model = linear_model(0.9)
+        branches = dn.make_branches(posterior, noise, model, 1, 20)
+        assert len(branches) > dn._BRANCH_CHUNK
+        domain = dn.prediction_domain(branches, 47, 1.5, model.process_noise.std)
+        grid = SpectralGrid.build(47, domain)
+        prior = dn.assemble_prior(branches, grid)
+        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+
+    def test_escape_names_first_offending_branch(self):
+        grid = wide_grid()
+        branches = [
+            self.one_branch(0.0, 1.0, 0.5),
+            self.one_branch(3.0, 11.0, 0.25),
+            self.one_branch(-3.0, -11.0, 0.25),
+        ]
+        with pytest.raises(DomainEscapeError, match="branch 1 "):
+            dn.assemble_prior(branches, grid)
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()

@@ -132,7 +132,7 @@ class TestPdefStep:
         branches = dn.make_branches(state.posterior, noise, model, 1, 12)
         domain = dn.prediction_domain(branches, 79, 1.5, model.process_noise.std)
         grid = SpectralGrid.build(79, domain)
-        prior = dn.assemble_prior(branches, grid, 1.5, cfg.velocity_bins)
+        prior = dn.assemble_prior(branches, grid, 1.5)
         stepped = flt.pdef_step(state, model, noise, 1, 0.5, cfg)
         assert dn.l1_distance(stepped.posterior, prior) <= 1e-6
 
