@@ -8,7 +8,7 @@ Kalman filtering on the classic scalar growth model.
 """
 
 from .chebyshev import Interval, SpectralGrid
-from .density import Branch, GridDensity, advect_step, assemble_prior, integrate, mean, mollified_delta, normalize
+from .density import Branches, GridDensity, advect_step, assemble_prior, integrate, mean, mollified_delta, normalize
 from .errors import (
     DomainEscapeError,
     FilterDivergenceError,
@@ -49,7 +49,7 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
+    "Branches",
     "DomainEscapeError",
     "ExperimentConfig",
     "FilterDivergenceError",

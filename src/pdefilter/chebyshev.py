@@ -70,16 +70,6 @@ def gauss_lobatto_nodes(order: int) -> np.ndarray:
     return _reference_nodes(_checked_order(order)).copy()
 
 
-def eval_chebyshev(j: int, x: float) -> float:
-    """First-kind Chebyshev polynomial T_j(x) = cos(j arccos x) on [-1, 1]."""
-    if j < 0:
-        raise ValueError(f"polynomial index must be >= 0, got {j}")
-    x = float(x)
-    if abs(x) > 1.0:
-        raise ValueError(f"argument outside [-1, 1]: {x}")
-    return float(np.cos(j * np.arccos(x)))
-
-
 def diff_matrix(order: int) -> np.ndarray:
     """Spectral differentiation matrix on the Gauss-Lobatto nodes.
 
@@ -175,15 +165,27 @@ def barycentric_interp(grid: SpectralGrid, values, x):
             f"interpolation point outside domain "
             f"[{grid.domain.lo}, {grid.domain.hi}]"
         )
-    xi = affine_map(grid.domain, xq)
-    lam = barycentric_weights(grid.order)
-    diff = xi[:, None] - grid.reference_nodes[None, :]
-    hit = np.abs(diff) < 1e-15
-    kernel = lam[None, :] / np.where(hit, 1.0, diff)
-    out = (kernel @ values) / kernel.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
+    out = barycentric_matrix(grid.order, affine_map(grid.domain, xq)) @ values
     return float(out[0]) if scalar else out
+
+
+def barycentric_matrix(order: int, xi) -> np.ndarray:
+    """Rows that evaluate the order-*order* interpolant at reference points.
+
+    Row i of the result maps nodal values to the interpolant at ``xi[i]``
+    in [-1, 1]: the barycentric quotient with its denominator divided in,
+    or the unit row of the node that ``xi[i]`` hits exactly.
+    """
+    order = _checked_order(order)
+    xi = np.asarray(xi, dtype=float)
+    diff = xi[:, None] - _reference_nodes(order)[None, :]
+    hit = np.abs(diff) < 1e-15
+    kernel = _barycentric_weights_cached(order)[None, :] / np.where(hit, 1.0, diff)
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(hit)
+    kernel[rows] = 0.0
+    kernel[rows, cols] = 1.0
+    return kernel
 
 
 def _checked_order(order: int) -> int:

@@ -34,13 +34,16 @@ is imaginary to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import Interval, SpectralGrid, affine_scale, barycentric_interp, diff_matrix
+from .chebyshev import Interval, SpectralGrid, affine_scale, barycentric_matrix, diff_matrix
 from .errors import DomainEscapeError, FilterDivergenceError
+
+# unused here, but perfbench/tracer.py rebinds it on this module for traced runs
+from .chebyshev import barycentric_interp  # noqa: F401
 
 # nodal values below this fraction of the peak do not count as support
 _SUPPORT_RTOL = 1e-12
@@ -77,27 +80,45 @@ class GridDensity:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One transported characteristic of a prediction step.
+class Branches:
+    """The transported characteristics of one prediction step, as arrays.
 
-    A branch starts at a representative posterior state, carries the
-    probability mass of its (state, noise) pair, and ends where the
-    transition map sends it; the velocity is the constant secant rate
-    ``end - start`` over the unit pseudo-time step.
+    Entry i is one branch: it starts at a representative posterior state
+    ``start_state[i]``, carries the probability mass ``mass[i]`` of its
+    (state, noise) pair, and ends where the transition map sends it,
+    ``end_state[i]``; ``velocity`` is the constant secant rate
+    ``end_state - start_state`` over the unit pseudo-time step.  The arrays
+    are validated once and stored read-only.
     """
 
-    start_state: float
-    noise_value: float
-    mass: float
-    end_state: float
-    velocity: float
+    start_state: np.ndarray
+    noise_value: np.ndarray
+    mass: np.ndarray
+    end_state: np.ndarray
+    velocity: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("start_state", "noise_value", "mass", "end_state", "velocity"):
-            if not np.isfinite(getattr(self, name)):
+        names = ("start_state", "noise_value", "mass", "end_state")
+        arrays = [np.array(getattr(self, name), dtype=float) for name in names]
+        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("branch fields must be equal-length 1-D arrays")
+        arrays.append(arrays[3] - arrays[0])
+        names += ("velocity",)
+        for name, a in zip(names, arrays):
+            if not np.isfinite(a).all():
                 raise ValueError(f"branch field {name} must be finite")
-        if not 0.0 < self.mass <= 1.0:
-            raise ValueError(f"branch mass must be in (0, 1], got {self.mass}")
+        mass = arrays[2]
+        if mass.size and not (mass.min() > 0.0 and mass.max() <= 1.0):
+            raise ValueError(
+                f"branch masses must be in (0, 1], got range "
+                f"[{mass.min()}, {mass.max()}]"
+            )
+        for name, a in zip(names, arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.mass.size
 
 
 def integrate(density: GridDensity) -> float:
@@ -157,11 +178,12 @@ def mollified_delta(
 
 
 def mollification_sigma(grid: SpectralGrid, center: float, width_factor: float) -> float:
-    """Bump width used by :func:`mollified_delta` at this location."""
-    gaps = np.diff(grid.nodes)
-    j = int(np.argmin(np.abs(grid.nodes - center)))
-    adjacent = gaps[max(j - 1, 0): j + 1]
-    return width_factor * float(adjacent.mean())
+    """Bump width used by :func:`mollified_delta` at this location: the mean
+    of the one or two node gaps next to the node nearest *center*."""
+    nodes = grid.nodes
+    j = int(np.argmin(np.abs(nodes - center)))
+    adjacent = [float(nodes[i + 1] - nodes[i]) for i in (j - 1, j) if 0 <= i < grid.order]
+    return width_factor * (sum(adjacent) / len(adjacent))
 
 
 def advect_step(
@@ -219,15 +241,27 @@ def folded_generator(grid: SpectralGrid, velocity: float) -> np.ndarray:
     return folded
 
 
-def make_branches(posterior, noise, model, k: int, state_points: int) -> list[Branch]:
+def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:
     """Decompose a posterior into transported branches for one prediction.
 
     Takes the Cartesian product of ``state_points`` equal-probability
     quantiles of *posterior* (inverted from its quadrature CDF) with the
-    representative points of *noise*; each branch carries mass
+    representative points of *noise*, start-major; each branch carries mass
     ``noise_weight / state_points``, ends at ``model.transition(start, k,
-    noise_value)`` and moves at the secant velocity ``end - start``.
+    noise_value)`` and moves at the secant velocity ``end - start``.  The
+    transition is called once, on the broadcast (starts x noise points)
+    pair of arrays.
+
+    Raises
+    ------
+    FilterDivergenceError
+        If the posterior has no mass or the transition returns a non-finite
+        value.
     """
+    # filters imports this module, so its model-output check is imported
+    # at call time
+    from .filters import model_output
+
     if state_points < 1:
         raise ValueError(f"state_points must be >= 1, got {state_points}")
     points = np.asarray(noise.points, dtype=float)
@@ -240,20 +274,16 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> list[Br
         )
     probs = (2.0 * np.arange(state_points) + 1.0) / (2.0 * state_points)
     starts = density_quantiles(posterior, probs)
-    branches = []
-    for start in starts:
-        for v, w in zip(points, weights):
-            end = float(model.transition(float(start), k, float(v)))
-            branches.append(
-                Branch(
-                    start_state=float(start),
-                    noise_value=float(v),
-                    mass=float(w) / state_points,
-                    end_state=end,
-                    velocity=end - float(start),
-                )
-            )
-    return branches
+    shape = (starts.size, points.size)
+    ends = model_output(
+        "transition", model.transition(starts[:, None], k, points[None, :]), shape, k
+    )
+    return Branches(
+        start_state=np.repeat(starts, points.size),
+        noise_value=np.tile(points, starts.size),
+        mass=np.tile(weights / state_points, starts.size),
+        end_state=ends.ravel(),
+    )
 
 
 def density_quantiles(density: GridDensity, probs) -> np.ndarray:
@@ -261,12 +291,13 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
 
     The interpolant is sampled on a fine uniform mesh, integrated by the
     trapezoid rule and inverted by monotone interpolation; deterministic
-    and accurate to a small fraction of a node spacing.
+    and accurate to a small fraction of a node spacing.  The sampling
+    kernel depends only on the grid order and is cached.
     """
     grid = density.grid
-    n_fine = max(2001, 8 * grid.order + 1)
-    xf = np.linspace(grid.domain.lo, grid.domain.hi, n_fine)
-    pf = np.clip(barycentric_interp(grid, density.values, xf), 0.0, None)
+    kernel = _cdf_kernel(grid.order)
+    xf = np.linspace(grid.domain.lo, grid.domain.hi, kernel.shape[0])
+    pf = np.clip(kernel @ density.values, 0.0, None)
     cdf = np.concatenate(
         [[0.0], np.cumsum(0.5 * (pf[1:] + pf[:-1]) * np.diff(xf))]
     )
@@ -277,7 +308,7 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
 
 
 def prediction_domain(
-    branches: list[Branch],
+    branches: Branches,
     order: int,
     width_factor: float,
     process_std: float,
@@ -291,15 +322,15 @@ def prediction_domain(
     ``margin_scale`` widens the margin when a previous attempt tripped the
     boundary check (coarse grids carry wide bumps with long tails).
     """
-    lo = min(min(b.start_state for b in branches), min(b.end_state for b in branches))
-    hi = max(max(b.start_state for b in branches), max(b.end_state for b in branches))
+    lo = min(branches.start_state.min(), branches.end_state.min())
+    hi = max(branches.start_state.max(), branches.end_state.max())
     sigma_est = width_factor * (hi - lo) / order
     margin = 4.0 * (process_std + sigma_est) * margin_scale
     return Interval(lo - margin, hi + margin)
 
 
 def assemble_prior(
-    branches: list[Branch],
+    branches: Branches,
     grid_next: SpectralGrid,
     width_factor: float = 1.5,
 ) -> GridDensity:
@@ -314,28 +345,30 @@ def assemble_prior(
     prior, not per branch: ringing of neighbouring bumps partly cancels, and
     the sum is what the update step sees.
     """
-    if not branches:
+    if len(branches) == 0:
         raise ValueError("no branches to assemble")
-    total_mass = sum(b.mass for b in branches)
+    total_mass = float(branches.mass.sum())
     if abs(total_mass - 1.0) > _MASS_SUM_TOL:
         raise ValueError(f"branch masses sum to {total_mass!r}, expected 1")
 
     scale = affine_scale(grid_next.domain)
     accum = np.zeros(grid_next.order)
     for first in range(0, len(branches), _BRANCH_CHUNK):
-        chunk = branches[first:first + _BRANCH_CHUNK]
-        bumps = np.empty((len(chunk), grid_next.n_nodes))
-        for j, branch in enumerate(chunk):
-            bump = mollified_delta(grid_next, branch.start_state, width_factor)
+        chunk = slice(first, first + _BRANCH_CHUNK)
+        starts = branches.start_state[chunk]
+        velocities = branches.velocity[chunk]
+        bumps = np.empty((starts.size, grid_next.n_nodes))
+        for j, (start, velocity) in enumerate(zip(starts.tolist(), velocities.tolist())):
+            bump = mollified_delta(grid_next, start, width_factor)
             _check_shifted_support(
-                grid_next, bump.values, branch.velocity, f"branch {first + j}"
+                grid_next, bump.values, velocity, f"branch {first + j}"
             )
             bumps[j] = bump.values
         accum += _transport(
             grid_next.order,
             _fold(bumps),
-            scale * np.array([b.velocity for b in chunk]),
-            np.array([b.mass for b in chunk]),
+            scale * velocities,
+            branches.mass[chunk],
         )
     values = np.clip(_unfold(accum), 0.0, None)
     return normalize(GridDensity(grid_next, values))
@@ -360,6 +393,17 @@ class _Eigensystem:
     v_re: np.ndarray
     v_im: np.ndarray
     cond: float
+
+
+# each kernel holds max(2001, 8 N + 1) x (N + 1) doubles, 1.6 MB at N = 99
+@lru_cache(maxsize=8)
+def _cdf_kernel(order: int) -> np.ndarray:
+    """Interpolation rows from the nodal values of an order-*order* grid to
+    the uniform CDF mesh of :func:`density_quantiles` (reference coordinates,
+    so one kernel serves every domain)."""
+    kernel = barycentric_matrix(order, np.linspace(-1.0, 1.0, max(2001, 8 * order + 1)))
+    kernel.setflags(write=False)
+    return kernel
 
 
 @lru_cache(maxsize=32)

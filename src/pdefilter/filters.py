@@ -24,7 +24,7 @@ from scipy.special import ndtri
 from . import density as density_mod
 from .chebyshev import Interval, SpectralGrid
 from .density import GridDensity, assemble_prior, make_branches, prediction_domain
-from .errors import DomainEscapeError, WeightUnderflowError
+from .errors import DomainEscapeError, FilterDivergenceError, WeightUnderflowError
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,12 @@ class ScalarStateModel:
 
     ``transition(x, k, v)`` maps the previous state and a process-noise value
     to the state at step k; ``observation(x, k)`` maps a state to the
-    noise-free measurement.  Both are called with scalars.
+    noise-free measurement.  Both must work elementwise on numpy arrays and
+    broadcast ``x`` against ``v`` (the particle and density filters call
+    them once per step on whole arrays), and must still accept Python
+    floats, which is how the unscented filter calls them.  An output that
+    does not depend on ``x`` may be a scalar; it is broadcast.  The inputs
+    must not be modified in place.
     """
 
     transition: callable
@@ -183,6 +188,30 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def model_output(name: str, value, shape: tuple, k: int):
+    """A model function's output, checked: a float for ``shape == ()``,
+    otherwise a float array broadcast to *shape* (so a model that ignores
+    its input may return a scalar).
+
+    Raises
+    ------
+    FilterDivergenceError
+        If any value is NaN or infinite; the message names the model
+        function and the step.
+    """
+    if shape == ():
+        out = float(value)
+        finite = math.isfinite(out)
+    else:
+        out = np.broadcast_to(np.asarray(value, dtype=float), shape)
+        finite = bool(np.isfinite(out).all())
+    if not finite:
+        raise FilterDivergenceError(
+            f"model {name} returned a non-finite value at step {k}"
+        )
+    return out
+
+
 # --------------------------------------------------------------------------
 # density-evolution filter
 # --------------------------------------------------------------------------
@@ -233,7 +262,8 @@ def pdef_step(
     Raises
     ------
     FilterDivergenceError
-        If the posterior mass collapses below threshold.
+        If the posterior mass collapses below threshold or the model returns
+        a non-finite value.
     """
     branches = make_branches(state.posterior, noise, model, k, cfg.state_quantiles)
     margin_scale = 1.0
@@ -253,8 +283,8 @@ def pdef_step(
             if attempt == 5:
                 raise
             margin_scale *= 1.6
-    predicted = np.array(
-        [float(model.observation(float(x), k)) for x in grid.nodes]
+    predicted = model_output(
+        "observation", model.observation(grid.nodes, k), grid.nodes.shape, k
     )
     lik = gaussian_likelihood(y_k, predicted, model.obs_noise.variance)
     return PdefState(posterior_update(prior, lik))
@@ -283,22 +313,23 @@ def pf_step(
 
     Every particle is pushed through the transition with a fresh process
     noise draw, weights are multiplied by the observation likelihood and the
-    cloud is resampled every step, so the returned weights are uniform.
+    cloud is resampled every step, so the returned weights are uniform.  The
+    transition and the observation are each called once, on the particle
+    array.
 
     Raises
     ------
     WeightUnderflowError
         If every reweighted particle weight underflows to zero.
+    FilterDivergenceError
+        If the model returns a non-finite value.
     """
     n = state.particles.size
     draws = rng.normal(0.0, model.process_noise.std, n)
-    moved = np.array(
-        [
-            float(model.transition(float(x), k, float(v)))
-            for x, v in zip(state.particles, draws)
-        ]
+    moved = model_output(
+        "transition", model.transition(state.particles, k, draws), (n,), k
     )
-    predicted = np.array([float(model.observation(float(x), k)) for x in moved])
+    predicted = model_output("observation", model.observation(moved, k), (n,), k)
     weights = state.weights * gaussian_likelihood(
         y_k, predicted, model.obs_noise.variance
     )
@@ -358,46 +389,58 @@ def ukf_step(
     on a linear model this reproduces the Kalman recursion exactly.  The
     observation noise is additive, entering the innovation variance as R.
 
+    The five-point arithmetic runs on Python floats, with one scalar model
+    call per sigma point: at this size numpy arrays cost more than the
+    arithmetic itself.
+
     Raises
     ------
     ValueError
         If the predicted innovation variance is not positive (possible only
         for parameter choices with negative center weight).
+    FilterDivergenceError
+        If the model returns a non-finite value.
     """
     n_aug = 2.0
     lam = params.alpha ** 2 * (n_aug + params.kappa) - n_aug
     if not n_aug + lam > 0.0:
         raise ValueError("sigma-point spread (n + lambda) must be positive")
-    w_mean = np.full(5, 0.5 / (n_aug + lam))
-    w_mean[0] = lam / (n_aug + lam)
-    w_cov = w_mean.copy()
-    w_cov[0] += 1.0 - params.alpha ** 2 + params.beta
+    w_side = 0.5 / (n_aug + lam)
+    w_center = lam / (n_aug + lam)
+    w_mean = (w_center, w_side, w_side, w_side, w_side)
+    w_cov = (w_center + (1.0 - params.alpha ** 2 + params.beta),) + w_mean[1:]
 
     m, var = state.mean, state.variance
     spread_x = math.sqrt((n_aug + lam) * var)
     spread_v = math.sqrt((n_aug + lam) * model.process_noise.variance)
     points = (m, m + spread_x, m - spread_x, m, m)
     noises = (0.0, 0.0, 0.0, spread_v, -spread_v)
-    moved = np.array(
-        [float(model.transition(x, k, v)) for x, v in zip(points, noises)]
-    )
-    mean_pred = float(w_mean @ moved)
-    var_pred = float(w_cov @ (moved - mean_pred) ** 2)
-
-    predicted = np.array([float(model.observation(float(x), k)) for x in moved])
-    y_mean = float(w_mean @ predicted)
-    innovation_var = float(
-        w_cov @ (predicted - y_mean) ** 2
-    ) + model.obs_noise.variance
+    moved = [
+        model_output("transition", model.transition(x, k, v), (), k)
+        for x, v in zip(points, noises)
+    ]
+    predicted = [
+        model_output("observation", model.observation(x, k), (), k) for x in moved
+    ]
+    mean_pred = _weighted_sum(w_mean, moved)
+    y_mean = _weighted_sum(w_mean, predicted)
+    dx = [x - mean_pred for x in moved]
+    dy = [y - y_mean for y in predicted]
+    var_pred = _weighted_sum(w_cov, [d * d for d in dx])
+    innovation_var = _weighted_sum(w_cov, [d * d for d in dy]) + model.obs_noise.variance
     if not innovation_var > 0.0:
         raise ValueError(
             f"non-positive predicted innovation variance {innovation_var}"
         )
-    cross = float(w_cov @ ((moved - mean_pred) * (predicted - y_mean)))
+    cross = _weighted_sum(w_cov, [a * b for a, b in zip(dx, dy)])
     gain = cross / innovation_var
     mean_post = mean_pred + gain * (float(y_k) - y_mean)
     var_post = max(var_pred - gain * gain * innovation_var, 1e-12)
     return UkfState(mean_post, var_post)
+
+
+def _weighted_sum(weights, values) -> float:
+    return sum(w * x for w, x in zip(weights, values))
 
 
 def estimate(state) -> float:

@@ -75,18 +75,6 @@ def grid_bayes_filter(observations, f, h, q, r, m0, p0, nodes, half_width):
     return np.asarray(means), np.asarray(variances)
 
 
-def chebyshev_by_recurrence(j, x):
-    """T_j(x) via the three-term recurrence (independent of the arccos form)."""
-    x = np.asarray(x, dtype=float)
-    t_prev = np.ones_like(x)
-    if j == 0:
-        return t_prev
-    t_cur = x.copy()
-    for _ in range(j - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur
-
-
 def gaussian_pdf(x, mean, variance):
     return np.exp(-0.5 * (np.asarray(x) - mean) ** 2 / variance) / np.sqrt(
         2.0 * np.pi * variance

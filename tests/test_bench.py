@@ -232,6 +232,26 @@ class TestRunTrajectory:
         assert len(lines) == 2 + cfg.steps + 1
         assert lines[-1] == f"# failed: pf step 1: {reason}"
 
+    def test_non_finite_model_output_is_a_recorded_failure(self):
+        # the transition turns NaN at step 3 (the simulated truth too, which
+        # no filter sees before its own transition call fails)
+        base = bench.benchmark_model()
+        model = flt.ScalarStateModel(
+            transition=lambda x, k, v: base.transition(x, k, v) + (np.nan if k == 3 else 0.0),
+            observation=base.observation,
+            process_noise=base.process_noise,
+            obs_noise=base.obs_noise,
+            initial=base.initial,
+        )
+        cfg = ExperimentConfig(
+            steps=4, runs=1, particles=30, grid_nodes=60,
+            state_quantiles=8, noise_points=8, seed=7,
+        )
+        records = bench.run_trajectory(cfg, model=model)
+        reason = "FilterDivergenceError: model transition returned a non-finite value at step 3"
+        assert records[2].failures == {name: reason for name in ("ukf", "pf", "pdef")}
+        assert all(value is not None for value in records[1].estimates.values())
+
 
 class TestCsvOutput:
     def sample_reports(self):

@@ -6,8 +6,6 @@ import pytest
 from pdefilter import chebyshev as cheb
 from pdefilter.chebyshev import Interval, SpectralGrid
 
-from _oracles import chebyshev_by_recurrence
-
 
 class TestNodes:
     def test_order_one_endpoints(self):
@@ -89,49 +87,6 @@ class TestDiffMatrix:
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
             cheb.diff_matrix(0)
-
-
-class TestEvalChebyshev:
-    def test_t0_is_one(self):
-        for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
-            assert cheb.eval_chebyshev(0, x) == 1.0
-
-    def test_t1_is_identity(self):
-        assert cheb.eval_chebyshev(1, 0.3) == pytest.approx(0.3, abs=1e-15)
-
-    def test_t3_at_half(self):
-        # arccos(1/2) = pi/3, so T_3(1/2) = cos(pi) = -1
-        assert cheb.eval_chebyshev(3, 0.5) == pytest.approx(-1.0, abs=1e-14)
-
-    def test_matches_recurrence(self):
-        xs = np.linspace(-1.0, 1.0, 33)
-        for j in range(9):
-            got = np.array([cheb.eval_chebyshev(j, x) for x in xs])
-            np.testing.assert_allclose(
-                got, chebyshev_by_recurrence(j, xs), atol=1e-12
-            )
-
-    def test_discrete_orthogonality(self):
-        # Gauss-Chebyshev quadrature of T_i T_j / sqrt(1 - x^2):
-        # equals pi/2 * gamma_j * delta_ij with gamma_0 = 2, gamma_j = 1
-        m = 32
-        roots = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
-        for i in range(9):
-            ti = np.array([cheb.eval_chebyshev(i, x) for x in roots])
-            for j in range(9):
-                tj = np.array([cheb.eval_chebyshev(j, x) for x in roots])
-                quad = (np.pi / m) * float(ti @ tj)
-                gamma = 2.0 if j == 0 else 1.0
-                expected = (np.pi / 2.0) * gamma if i == j else 0.0
-                assert abs(quad - expected) <= 1e-10
-
-    def test_domain_violation(self):
-        with pytest.raises(ValueError):
-            cheb.eval_chebyshev(2, 1.0000001)
-
-    def test_negative_index(self):
-        with pytest.raises(ValueError):
-            cheb.eval_chebyshev(-1, 0.5)
 
 
 class TestClenshawCurtis:

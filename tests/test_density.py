@@ -7,7 +7,7 @@ from scipy.special import ndtri
 from pdefilter import density as dn
 from pdefilter import linalg
 from pdefilter.bench import benchmark_model
-from pdefilter.chebyshev import Interval, SpectralGrid
+from pdefilter.chebyshev import Interval, SpectralGrid, barycentric_interp
 from pdefilter.errors import DomainEscapeError, FilterDivergenceError
 from pdefilter.filters import (
     GaussianSpec,
@@ -36,13 +36,19 @@ def expm_prior(branches, grid, width_factor=1.5):
     applied to the folded bump, summed, clipped once and normalized."""
     n = grid.order
     accum = np.zeros(n)
-    for branch in branches:
-        bump = dn.mollified_delta(grid, branch.start_state, width_factor).values
+    for start, velocity, mass in zip(branches.start_state, branches.velocity, branches.mass):
+        bump = dn.mollified_delta(grid, start, width_factor).values
         folded = np.concatenate([[0.5 * (bump[0] + bump[n])], bump[1:n]])
-        propagator = linalg.expm(dn.folded_generator(grid, branch.velocity))
-        accum += branch.mass * (propagator @ folded)
+        propagator = linalg.expm(dn.folded_generator(grid, velocity))
+        accum += mass * (propagator @ folded)
     values = np.clip(np.concatenate([accum, accum[:1]]), 0.0, None)
     return dn.normalize(dn.GridDensity(grid, values))
+
+
+def branches_of(*triples):
+    """Branches from (start, end, mass) triples, with zero noise values."""
+    starts, ends, masses = (np.array(column, dtype=float) for column in zip(*triples))
+    return dn.Branches(starts, np.zeros(len(triples)), masses, ends)
 
 
 def linear_model(slope=1.0):
@@ -100,6 +106,23 @@ class TestMollifiedDelta:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError, match="width_factor"):
             dn.mollified_delta(wide_grid(), 0.0, width_factor=0.0)
+
+    @pytest.mark.parametrize("order", [1, 47, 99, 149])
+    def test_sigma_equals_mean_of_all_gaps_formula(self, order):
+        # the width once took np.diff over the whole grid and the mean of
+        # the adjacent slice; the two-gap form must agree bit for bit
+        def full_diff_sigma(grid, center, width_factor):
+            gaps = np.diff(grid.nodes)
+            j = int(np.argmin(np.abs(grid.nodes - center)))
+            return width_factor * float(gaps[max(j - 1, 0): j + 1].mean())
+
+        grid = SpectralGrid.build(order, Interval(-7.3, 19.1))
+        rng = np.random.default_rng(order)
+        centers = np.concatenate(
+            [rng.uniform(-7.3, 19.1, 2000), grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1])]
+        )
+        for center in centers:
+            assert dn.mollification_sigma(grid, center, 1.5) == full_diff_sigma(grid, center, 1.5)
 
 
 class TestAdvectStep:
@@ -196,17 +219,69 @@ class TestSpectralPropagator:
         assert np.abs(batch - singles).max() <= 1e-12
 
 
+class TestBranches:
+    def test_arrays_are_read_only_and_velocity_is_secant(self):
+        branches = dn.Branches([0.0, 1.0], [0.5, -0.5], [0.25, 0.75], [2.0, -1.5])
+        assert len(branches) == 2
+        np.testing.assert_array_equal(branches.velocity, [2.0, -2.5])
+        with pytest.raises(ValueError):
+            branches.mass[0] = 0.5
+
+    def test_rejects_ragged_fields(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            dn.Branches([0.0, 1.0], [0.0], [0.5, 0.5], [1.0, 2.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            dn.Branches([[0.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("field", ["start_state", "noise_value", "mass", "end_state"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        fields = {"start_state": [0.0, 1.0], "noise_value": [0.0, 0.0],
+                  "mass": [0.5, 0.5], "end_state": [1.0, 2.0]}
+        fields[field][1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dn.Branches(**fields)
+
+    def test_rejects_overflowing_velocity(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocity must be finite"):
+            dn.Branches([-1e308], [0.0], [1.0], [1e308])
+
+    @pytest.mark.parametrize("mass", [0.0, -0.25, 1.5])
+    def test_rejects_mass_outside_unit_interval(self, mass):
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            dn.Branches([0.0, 1.0], [0.0, 0.0], [0.5, mass], [1.0, 2.0])
+
+
 class TestMakeBranches:
+    @pytest.mark.parametrize("model", [linear_model(0.9), benchmark_model()])
+    def test_equals_scalar_double_loop(self, model):
+        # reference: one scalar transition call per (start, noise) pair,
+        # start-major, the order the branches are documented in
+        grid = wide_grid(99, 20.0)
+        posterior = gaussian_density(grid, 1.5, 6.0)
+        noise = gaussian_quantile_points(5, model.process_noise.variance)
+        branches = dn.make_branches(posterior, noise, model, 3, 7)
+        starts = dn.density_quantiles(posterior, (2.0 * np.arange(7) + 1.0) / 14.0)
+        rows = [
+            (s, v, w / 7, float(model.transition(float(s), 3, float(v))))
+            for s in starts
+            for v, w in zip(noise.points, noise.weights)
+        ]
+        expected = [np.array(column) for column in zip(*rows)]
+        got = (branches.start_state, branches.noise_value, branches.mass, branches.end_state)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+        np.testing.assert_array_equal(branches.velocity, expected[3] - expected[0])
+
     def test_single_point_degenerate(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.4, 1.0)
         noise = NoiseQuantization([0.0], [1.0])
         branches = dn.make_branches(posterior, noise, linear_model(), 1, 1)
         assert len(branches) == 1
-        branch = branches[0]
-        assert branch.mass == 1.0
+        assert branches.mass[0] == 1.0
         # single quantile = posterior median
-        assert branch.start_state == pytest.approx(0.4, abs=1e-4)
+        assert branches.start_state[0] == pytest.approx(0.4, abs=1e-4)
 
     def test_symmetric_setup_gives_symmetric_branches(self):
         grid = wide_grid()
@@ -220,8 +295,8 @@ class TestMakeBranches:
             initial=GaussianSpec(0.0, 1.0),
         )
         branches = dn.make_branches(posterior, noise, model, 1, 8)
-        pairs = sorted((b.start_state, b.noise_value) for b in branches)
-        mirrored = sorted((-b.start_state, -b.noise_value) for b in branches)
+        pairs = sorted(zip(branches.start_state, branches.noise_value))
+        mirrored = sorted(zip(-branches.start_state, -branches.noise_value))
         for (s1, v1), (s2, v2) in zip(pairs, mirrored):
             assert s1 == pytest.approx(s2, abs=1e-6)
             assert v1 == pytest.approx(v2, abs=1e-12)
@@ -231,14 +306,14 @@ class TestMakeBranches:
         posterior = gaussian_density(grid, 0.0, 10.0)
         noise = NoiseQuantization([0.0], [1.0])
         branches = dn.make_branches(posterior, noise, benchmark_model(), 1, 1)
-        assert branches[0].end_state == pytest.approx(8.0 * np.cos(1.2), abs=1e-3)
+        assert branches.end_state[0] == pytest.approx(8.0 * np.cos(1.2), abs=1e-3)
 
     def test_masses_sum_to_one(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.0, 3.0)
         noise = NoiseQuantization([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         branches = dn.make_branches(posterior, noise, linear_model(), 2, 7)
-        assert sum(b.mass for b in branches) == pytest.approx(1.0, abs=1e-12)
+        assert branches.mass.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(branches) == 21
 
     def test_zero_mass_posterior_rejected(self):
@@ -258,29 +333,33 @@ class TestDensityQuantiles:
         expected = 0.5 + ndtri(probs) * np.sqrt(2.0)
         np.testing.assert_allclose(got, expected, atol=5e-3)
 
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    def test_cached_kernel_matches_interpolation_on_the_physical_mesh(self, order):
+        # the kernel is built once per order on [-1, 1]; sampling the
+        # interpolant on the physical mesh instead moves the quantiles by
+        # rounding only
+        grid = SpectralGrid.build(order, Interval(-9.0, 31.0))
+        posterior = gaussian_density(grid, 4.0, 12.0)
+        probs = (2.0 * np.arange(16) + 1.0) / 32.0
+        xf = np.linspace(-9.0, 31.0, max(2001, 8 * order + 1))
+        pf = np.clip(barycentric_interp(grid, posterior.values, xf), 0.0, None)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pf[1:] + pf[:-1]) * np.diff(xf))])
+        expected = np.interp(probs, cdf / cdf[-1], xf)
+        got = dn.density_quantiles(posterior, probs)
+        assert np.abs(got - expected).max() <= 1e-12 * grid.domain.width
+        assert dn._cdf_kernel(order) is dn._cdf_kernel(order)
+
 
 class TestAssemblePrior:
-    def one_branch(self, start, end, mass=1.0):
-        return dn.Branch(
-            start_state=start,
-            noise_value=0.0,
-            mass=mass,
-            end_state=end,
-            velocity=end - start,
-        )
-
     def test_zero_velocity_branch_reproduces_delta(self):
         grid = wide_grid()
-        prior = dn.assemble_prior([self.one_branch(1.2, 1.2)], grid)
+        prior = dn.assemble_prior(branches_of((1.2, 1.2, 1.0)), grid)
         bump = dn.mollified_delta(grid, 1.2)
         assert np.abs(prior.values - bump.values).max() <= 1e-8
 
     def test_symmetric_branches_give_symmetric_prior(self):
         grid = wide_grid()
-        branches = [
-            self.one_branch(-1.0, -3.0, 0.5),
-            self.one_branch(1.0, 3.0, 0.5),
-        ]
+        branches = branches_of((-1.0, -3.0, 0.5), (1.0, 3.0, 0.5))
         prior = dn.assemble_prior(branches, grid)
         assert np.abs(prior.values - prior.values[::-1]).max() <= 1e-9
 
@@ -291,25 +370,18 @@ class TestAssemblePrior:
             n = rng.integers(3, 12)
             masses = rng.uniform(0.2, 1.0, n)
             masses /= masses.sum()
-            branches = [
-                self.one_branch(
-                    rng.uniform(-8, 8), rng.uniform(-8, 8), masses[i]
-                )
-                for i in range(n)
-            ]
+            branches = branches_of(
+                *[(rng.uniform(-8, 8), rng.uniform(-8, 8), masses[i]) for i in range(n)]
+            )
             prior = dn.assemble_prior(branches, grid)
             assert prior.values.min() >= 0.0
             assert dn.integrate(prior) == pytest.approx(1.0, abs=1e-9)
 
     def test_prior_mean_matches_weighted_end_states(self):
         grid = wide_grid(80, 30.0)
-        branches = [
-            self.one_branch(-2.0, -5.0, 0.3),
-            self.one_branch(0.5, 2.0, 0.45),
-            self.one_branch(3.0, 7.5, 0.25),
-        ]
+        branches = branches_of((-2.0, -5.0, 0.3), (0.5, 2.0, 0.45), (3.0, 7.5, 0.25))
         prior = dn.assemble_prior(branches, grid)
-        target = sum(b.mass * b.end_state for b in branches)
+        target = float(branches.mass @ branches.end_state)
         sigma = dn.mollification_sigma(grid, 0.0, 1.5)
         assert abs(dn.mean(prior) - target) <= 2.0 * sigma
 
@@ -339,18 +411,14 @@ class TestAssemblePrior:
 
     def test_escape_names_first_offending_branch(self):
         grid = wide_grid()
-        branches = [
-            self.one_branch(0.0, 1.0, 0.5),
-            self.one_branch(3.0, 11.0, 0.25),
-            self.one_branch(-3.0, -11.0, 0.25),
-        ]
+        branches = branches_of((0.0, 1.0, 0.5), (3.0, 11.0, 0.25), (-3.0, -11.0, 0.25))
         with pytest.raises(DomainEscapeError, match="branch 1 "):
             dn.assemble_prior(branches, grid)
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()
         with pytest.raises(ValueError, match="masses sum"):
-            dn.assemble_prior([self.one_branch(0.0, 1.0, 0.7)], grid)
+            dn.assemble_prior(branches_of((0.0, 1.0, 0.7)), grid)
 
     def test_empty_branches_rejected(self):
         with pytest.raises(ValueError, match="no branches"):

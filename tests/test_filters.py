@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdefilter import density as dn
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, simulate_truth
 from pdefilter.chebyshev import Interval, SpectralGrid
-from pdefilter.errors import WeightUnderflowError
+from pdefilter.errors import FilterDivergenceError, WeightUnderflowError
 
 from _oracles import gaussian_pdf, kalman_filter
 
@@ -22,6 +24,35 @@ def linear_model(a=0.9, c=1.0, q=1.0, r=1.0, m0=0.0, p0=1.0):
         obs_noise=flt.GaussianSpec(0.0, r),
         initial=flt.GaussianSpec(m0, p0),
     )
+
+
+def constant_observation_model():
+    return flt.ScalarStateModel(
+        transition=lambda x, k, v: 0.8 * x + v,
+        observation=lambda x, k: 3.0,  # independent of the state
+        process_noise=flt.GaussianSpec(0.0, 1.0),
+        obs_noise=flt.GaussianSpec(0.0, 1.0),
+        initial=flt.GaussianSpec(0.5, 2.0),
+    )
+
+
+def pf_step_per_particle(state, model, k, y_k, rng):
+    """Reference particle step: one scalar model call per particle.
+
+    Returns the resampled particles, or None where every weight underflows.
+    """
+    n = state.particles.size
+    draws = rng.normal(0.0, model.process_noise.std, n)
+    moved = np.array(
+        [float(model.transition(float(x), k, float(v))) for x, v in zip(state.particles, draws)]
+    )
+    predicted = np.array([float(model.observation(float(x), k)) for x in moved])
+    weights = state.weights * flt.gaussian_likelihood(y_k, predicted, model.obs_noise.variance)
+    total = float(weights.sum())
+    if not total > 0.0:
+        return None
+    indices = flt.systematic_resample(weights / total, n, rng.random())
+    return moved[indices]
 
 
 def grid_density(order, lo, hi, values):
@@ -167,6 +198,18 @@ class TestPdefStep:
         two = flt.pdef_step(state, model, noise, 1, 1.3, cfg)
         np.testing.assert_array_equal(one.posterior.values, two.posterior.values)
 
+    def test_constant_observation_model_leaves_prior(self):
+        # the observation returns a scalar for the whole node array
+        model = constant_observation_model()
+        cfg = flt.PdefConfig(grid_nodes=60, state_quantiles=8)
+        noise = flt.gaussian_quantile_points(8, model.process_noise.variance)
+        state = flt.pdef_init(model, cfg)
+        branches = dn.make_branches(state.posterior, noise, model, 1, 8)
+        domain = dn.prediction_domain(branches, 59, 1.5, model.process_noise.std)
+        prior = dn.assemble_prior(branches, SpectralGrid.build(59, domain), 1.5)
+        stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
+        assert dn.l1_distance(stepped.posterior, prior) <= 1e-12
+
 
 class TestParticleFilter:
     def test_init_draws_from_initial_spec(self):
@@ -215,6 +258,49 @@ class TestParticleFilter:
                 path.append(flt.estimate(state))
             runs.append(path)
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-1.5, 1.5),
+        c=st.floats(-3.0, 3.0),
+        q=st.floats(0.01, 10.0),
+        r=st.floats(0.01, 10.0),
+        y=st.floats(-20.0, 20.0),
+        n=st.integers(1, 200),
+        k=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_particle_reference_on_linear_models(self, a, c, q, r, y, n, k, seed):
+        model = linear_model(a=a, c=c, q=q, r=r)
+        state = flt.pf_init(model, n, np.random.default_rng(seed))
+        expected = pf_step_per_particle(state, model, k, y, np.random.default_rng(seed + 1))
+        if expected is None:
+            with pytest.raises(WeightUnderflowError):
+                flt.pf_step(state, model, k, y, np.random.default_rng(seed + 1))
+            return
+        got = flt.pf_step(state, model, k, y, np.random.default_rng(seed + 1))
+        np.testing.assert_array_equal(got.particles, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_particle_reference_on_growth_model(self, seed):
+        model = benchmark_model()
+        rng = np.random.default_rng(seed)
+        _, obs = simulate_truth(model, 5, rng)
+        state = flt.pf_init(model, 500, rng)
+        ref_rng = np.random.default_rng(100 + seed)
+        rng = np.random.default_rng(100 + seed)
+        for k in range(1, 6):
+            expected = pf_step_per_particle(state, model, k, obs[k - 1], ref_rng)
+            state = flt.pf_step(state, model, k, obs[k - 1], rng)
+            np.testing.assert_array_equal(state.particles, expected)
+
+    def test_constant_observation_model_keeps_every_particle(self):
+        # uniform likelihood: systematic resampling keeps each moved particle
+        model = constant_observation_model()
+        state = flt.pf_init(model, 40, np.random.default_rng(6))
+        out = flt.pf_step(state, model, 1, -4.0, np.random.default_rng(7))
+        draws = np.random.default_rng(7).normal(0.0, 1.0, 40)
+        np.testing.assert_array_equal(out.particles, 0.8 * state.particles + draws)
 
     def test_tracks_kalman_mean_over_runs(self):
         # linear-Gaussian: PF average at the final step is unbiased for the
@@ -311,6 +397,47 @@ class TestUkf:
         model = linear_model()
         with pytest.raises(ValueError, match="spread"):
             flt.ukf_step(flt.ukf_init(model), model, 1, 0.0, flt.UkfParams(kappa=-3.0))
+
+
+class TestNonFiniteModelOutput:
+    # one model function returns NaN or inf for part of its input; every
+    # filter reports it as divergence naming the function and the step
+
+    def model(self, broken):
+        good = {"transition": lambda x, k, v: 0.9 * x + v, "observation": lambda x, k: x}
+        bad = {
+            "transition": lambda x, k, v: np.where(x > -50.0, np.inf, 0.9 * x + v),
+            "observation": lambda x, k: np.where(x > -50.0, np.nan, x),
+        }
+        good[broken] = bad[broken]
+        return flt.ScalarStateModel(
+            transition=good["transition"],
+            observation=good["observation"],
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(0.0, 1.0),
+        )
+
+    @pytest.mark.parametrize("broken", ["transition", "observation"])
+    def test_pdef(self, broken):
+        model = self.model(broken)
+        cfg = flt.PdefConfig(grid_nodes=40, state_quantiles=4)
+        noise = flt.gaussian_quantile_points(4, 1.0)
+        with pytest.raises(FilterDivergenceError, match=f"model {broken} .* step 3"):
+            flt.pdef_step(flt.pdef_init(model, cfg), model, noise, 3, 0.2, cfg)
+
+    @pytest.mark.parametrize("broken", ["transition", "observation"])
+    def test_pf(self, broken):
+        model = self.model(broken)
+        state = flt.pf_init(model, 50, np.random.default_rng(0))
+        with pytest.raises(FilterDivergenceError, match=f"model {broken} .* step 3"):
+            flt.pf_step(state, model, 3, 0.2, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("broken", ["transition", "observation"])
+    def test_ukf(self, broken):
+        model = self.model(broken)
+        with pytest.raises(FilterDivergenceError, match=f"model {broken} .* step 3"):
+            flt.ukf_step(flt.ukf_init(model), model, 3, 0.2)
 
 
 class TestEstimate:
