@@ -1,5 +1,5 @@
-"""Minimal dense linear algebra: norms, LU solves and the matrix exponential
-that the density propagator is checked against.
+"""Minimal dense linear algebra: products, norms, LU solves and the matrix
+exponential that the density propagator is checked against.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order.  Every public
 function validates its inputs through :func:`as_matrix`, which rejects
@@ -44,6 +44,18 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
+
+
+def matmul(a, b) -> np.ndarray:
+    """Matrix product with explicit dimension checking."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
+            f"({b.shape[0]}x{b.shape[1]})"
+        )
+    return a @ b
 
 
 def one_norm(a) -> float:

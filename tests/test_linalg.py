@@ -1,4 +1,4 @@
-"""Dense linear algebra: norms, LU solves, matrix exponential."""
+"""Dense linear algebra: products, norms, LU solves, matrix exponential."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,39 @@ def random_with_norm(rng, n, target_norm):
     return a * (target_norm / linalg.one_norm(a))
 
 
+class TestMatmul:
+    def test_identity(self):
+        m = np.arange(9.0).reshape(3, 3)
+        np.testing.assert_array_equal(linalg.matmul(np.eye(3), m), m)
+
+    def test_zero(self):
+        m = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(
+            linalg.matmul(m, np.zeros((3, 2))), np.zeros((2, 2))
+        )
+
+    def test_direct_evaluation(self):
+        out = linalg.matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
+        np.testing.assert_array_equal(out, [[3.0], [7.0]])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linalg.matmul(np.eye(2), np.eye(3))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.matmul([[np.nan, 0.0], [0.0, 1.0]], np.eye(2))
+
+    def test_submultiplicative_one_norm(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = rng.normal(size=(6, 6))
+            b = rng.normal(size=(6, 6))
+            lhs = linalg.one_norm(linalg.matmul(a, b))
+            rhs = linalg.one_norm(a) * linalg.one_norm(b)
+            assert lhs <= rhs * (1.0 + 1e-12)
+
+
 class TestOneNorm:
     def test_zero_matrix(self):
         assert linalg.one_norm(np.zeros((4, 4))) == 0.0
@@ -23,15 +56,6 @@ class TestOneNorm:
 
     def test_direct_evaluation(self):
         assert linalg.one_norm([[1.0, -2.0], [3.0, 4.0]]) == 6.0
-
-    def test_submultiplicative_one_norm(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(6, 6))
-            b = rng.normal(size=(6, 6))
-            lhs = linalg.one_norm(a @ b)
-            rhs = linalg.one_norm(a) * linalg.one_norm(b)
-            assert lhs <= rhs * (1.0 + 1e-12)
 
 
 class TestLuSolve:
