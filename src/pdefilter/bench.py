@@ -94,10 +94,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown filter {name!r}")
         if not self.filters:
             raise ValueError("no filters requested")
-        for attr in ("steps", "runs", "particles", "grid_nodes",
+        for attr in ("steps", "runs", "particles",
                      "state_quantiles", "noise_points"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
+        # the density filter's own bound (PdefConfig), checked here so that
+        # the CLI reports it as a usage error before any run starts
+        if self.grid_nodes < 4:
+            raise ValueError(f"grid_nodes must be >= 4, got {self.grid_nodes}")
 
 
 @dataclass

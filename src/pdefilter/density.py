@@ -34,6 +34,7 @@ is imaginary to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -217,6 +218,7 @@ def advect_step(
     moved = _transport(
         grid.order,
         _fold(density.values)[None, :],
+        np.zeros(1, dtype=int),
         np.array([velocity * dt * affine_scale(grid.domain)]),
         np.ones(1),
     )
@@ -338,12 +340,17 @@ def assemble_prior(
 
     Each branch contributes a mass-weighted mollified delta placed at its
     start state and advected exactly by its velocity over unit pseudo-time,
-    so it lands on its end state.  Branches are checked against the
-    boundary margin in order, and the first that would escape raises.  The
-    transport of all branches is one batched spectral transform per chunk
-    of branches.  Negative spectral ringing is clipped once, on the summed
-    prior, not per branch: ringing of neighbouring bumps partly cancels, and
-    the sum is what the update step sees.
+    so it lands on its end state.  Consecutive branches with equal start
+    states form a start group and share one bump, so its occupied support
+    range is found once per group.  Branches are checked against the
+    boundary margin in order, each by two comparisons of its group's range
+    shifted by its velocity; only a branch that fails them has its escaped
+    mass measured, and the first whose mass escapes raises.  The transport
+    is one batched spectral transform per chunk of branches, which takes
+    each group's bump to eigen-coordinates once and rotates them per
+    branch.  Negative spectral ringing is clipped once, on the summed
+    prior, not per branch: ringing of neighbouring bumps partly cancels,
+    and the sum is what the update step sees.
     """
     if len(branches) == 0:
         raise ValueError("no branches to assemble")
@@ -351,23 +358,36 @@ def assemble_prior(
     if abs(total_mass - 1.0) > _MASS_SUM_TOL:
         raise ValueError(f"branch masses sum to {total_mass!r}, expected 1")
 
+    starts = branches.start_state
+    opens_group = np.concatenate([[True], starts[1:] != starts[:-1]])
+    group = np.cumsum(opens_group) - 1
+    lo_bound, hi_bound = _margin_bounds(grid_next)
+    bumps = []  # nodal values of each group's bump
+    for i, (start, velocity, opens) in enumerate(
+        zip(starts.tolist(), branches.velocity.tolist(), opens_group.tolist())
+    ):
+        # one bump per branch, in order: perfbench/test_smoke.py counts the
+        # calls per branch (ROADMAP item 6); a group uses its first
+        bump = mollified_delta(grid_next, start, width_factor)
+        if opens:
+            bumps.append(bump.values)
+            lo, hi = _support_range(grid_next, bump.values)
+        if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
+            _check_escaped_mass(
+                grid_next, bumps[-1], velocity, (lo, hi), f"branch {i}"
+            )
+
+    folded = _fold(np.array(bumps))
     scale = affine_scale(grid_next.domain)
     accum = np.zeros(grid_next.order)
     for first in range(0, len(branches), _BRANCH_CHUNK):
         chunk = slice(first, first + _BRANCH_CHUNK)
-        starts = branches.start_state[chunk]
-        velocities = branches.velocity[chunk]
-        bumps = np.empty((starts.size, grid_next.n_nodes))
-        for j, (start, velocity) in enumerate(zip(starts.tolist(), velocities.tolist())):
-            bump = mollified_delta(grid_next, start, width_factor)
-            _check_shifted_support(
-                grid_next, bump.values, velocity, f"branch {first + j}"
-            )
-            bumps[j] = bump.values
+        rows = group[chunk]
         accum += _transport(
             grid_next.order,
-            _fold(bumps),
-            scale * velocities,
+            folded[rows[0] : rows[-1] + 1],
+            rows - rows[0],
+            scale * branches.velocity[chunk],
             branches.mass[chunk],
         )
     values = np.clip(_unfold(accum), 0.0, None)
@@ -426,17 +446,19 @@ def _eigensystem(order: int) -> _Eigensystem:
     return _Eigensystem(*arrays, float(np.linalg.cond(vecs)))
 
 
-def _transport(order: int, folded: np.ndarray, shifts, weights) -> np.ndarray:
-    """``sum_b weights[b] expm(shifts[b] F_N) folded[b]`` for a batch.
+def _transport(order: int, folded: np.ndarray, rows, shifts, weights) -> np.ndarray:
+    """``sum_b weights[b] expm(shifts[b] F_N) folded[rows[b]]`` for a batch.
 
-    *folded* holds one folded vector per row; *shifts* are reference-interval
-    distances (velocity times scale times pseudo-time).  Each row is taken
-    to eigen-coordinates, rotated by its own ``exp(shift lam)``, weighted,
-    and the rows are summed before the single transform back.
+    *folded* holds one folded vector per row, and ``rows[b]`` picks branch
+    b's; *shifts* are reference-interval distances (velocity times scale
+    times pseudo-time).  Each row of *folded* is taken to eigen-coordinates
+    once, each branch rotates its row's coordinates by its own
+    ``exp(shift lam)`` and weight, and the branches are summed before the
+    single transform back.
     """
     eig = _eigensystem(order)
-    c_re = folded @ eig.w_re.T
-    c_im = folded @ eig.w_im.T
+    c_re = (folded @ eig.w_re.T)[rows]
+    c_im = (folded @ eig.w_im.T)[rows]
     gain = weights[:, None] * np.exp(np.outer(shifts, eig.alpha))
     phase = np.outer(shifts, eig.omega)
     cos = gain * np.cos(phase)
@@ -457,25 +479,43 @@ def _unfold(folded: np.ndarray) -> np.ndarray:
     return np.concatenate([folded, folded[:1]])
 
 
-def _check_shifted_support(grid, values, shift, label):
+def _margin_bounds(grid):
+    """The interval that shifted support must stay inside: the domain less
+    two nominal node spacings at each end."""
+    margin = 2.0 * grid.domain.width / grid.order
+    return grid.domain.lo + margin, grid.domain.hi - margin
+
+
+def _support_range(grid, values):
+    """Lowest and highest node whose value exceeds the support threshold,
+    or ``(inf, -inf)`` when there is no mass, which no shift moves out."""
     peak = float(values.max(initial=0.0))
     if peak <= 0.0:
-        return
+        return math.inf, -math.inf
     occupied = grid.nodes[values > _SUPPORT_RTOL * peak]
-    margin = 2.0 * grid.domain.width / grid.order
-    lo = float(occupied.min()) + shift
-    hi = float(occupied.max()) + shift
-    if lo >= grid.domain.lo + margin and hi <= grid.domain.hi - margin:
+    return float(occupied.min()), float(occupied.max())
+
+
+def _check_shifted_support(grid, values, shift, label):
+    lo_bound, hi_bound = _margin_bounds(grid)
+    support = _support_range(grid, values)
+    if support[0] + shift >= lo_bound and support[1] + shift <= hi_bound:
         return
+    _check_escaped_mass(grid, values, shift, support, label)
+
+
+def _check_escaped_mass(grid, values, shift, support, label):
+    """Raise unless at most 1e-6 of the mass of *values* shifted by *shift*
+    lands outside the margin bounds; *support* is the unshifted range."""
     # the pointwise support picks up harmless spectral ringing on densities
     # that have been advected before; only raise when actual mass crosses
+    lo_bound, hi_bound = _margin_bounds(grid)
     shifted = grid.nodes + shift
-    outside = (shifted < grid.domain.lo + margin) | (
-        shifted > grid.domain.hi - margin
-    )
+    outside = (shifted < lo_bound) | (shifted > hi_bound)
     escaped = float(grid.physical_weights[outside] @ values[outside])
     total = float(grid.physical_weights @ values)
     if escaped > 1e-6 * total:
+        lo, hi = support[0] + shift, support[1] + shift
         who = f" for {label}" if label else ""
         raise DomainEscapeError(
             f"advected support [{lo:.4g}, {hi:.4g}]{who} crosses the "

@@ -119,3 +119,10 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert cli.main(["run", "--runs", "0", "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [1, 3])
+    def test_grid_below_four_nodes_is_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "x.csv"
+        assert cli.main(run_args(out, grid=grid)) == 1
+        assert "pdefilter: error: grid_nodes must be >= 4" in capsys.readouterr().err
+        assert not out.exists()

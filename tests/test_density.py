@@ -45,6 +45,38 @@ def expm_prior(branches, grid, width_factor=1.5):
     return dn.normalize(dn.GridDensity(grid, values))
 
 
+def per_branch_prior(branches, grid, width_factor=1.5):
+    """Reference prior without start groups: per branch one bump, one
+    support check and one projected row, transported in a single batch."""
+    bumps = []
+    for i, (start, velocity) in enumerate(zip(branches.start_state, branches.velocity)):
+        bump = dn.mollified_delta(grid, start, width_factor).values
+        dn._check_shifted_support(grid, bump, velocity, f"branch {i}")
+        bumps.append(bump)
+    accum = dn._transport(
+        grid.order,
+        dn._fold(np.array(bumps)),
+        np.arange(len(bumps)),
+        dn.affine_scale(grid.domain) * branches.velocity,
+        branches.mass,
+    )
+    values = np.clip(dn._unfold(accum), 0.0, None)
+    return dn.normalize(dn.GridDensity(grid, values))
+
+
+def counting(monkeypatch, name):
+    """Replace ``density.<name>`` by a wrapper that records its calls."""
+    calls = []
+    original = getattr(dn, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dn, name, wrapper)
+    return calls
+
+
 def branches_of(*triples):
     """Branches from (start, end, mass) triples, with zero noise values."""
     starts, ends, masses = (np.array(column, dtype=float) for column in zip(*triples))
@@ -188,7 +220,7 @@ class TestSpectralPropagator:
         eye = np.eye(order)
         got = np.column_stack(
             [
-                dn._transport(order, eye[j:j + 1], np.array([scale]), np.ones(1))
+                dn._transport(order, eye[j:j + 1], [0], np.array([scale]), np.ones(1))
                 for j in range(order)
             ]
         )
@@ -207,14 +239,16 @@ class TestSpectralPropagator:
         assert dn._eigensystem(47) is dn._eigensystem(47)
 
     def test_batch_is_weighted_sum_of_single_transports(self):
+        # branches index their folded vectors, so rows repeat and skip
         rng = np.random.default_rng(5)
         folded = rng.normal(size=(3, 30))
-        shifts = np.array([-0.7, 0.1, 2.5])
-        weights = np.array([0.2, 0.3, 0.5])
-        batch = dn._transport(30, folded, shifts, weights)
+        rows = np.array([2, 0, 2, 1])
+        shifts = np.array([-0.7, 0.1, 2.5, 1.2])
+        weights = np.array([0.2, 0.3, 0.4, 0.1])
+        batch = dn._transport(30, folded, rows, shifts, weights)
         singles = sum(
-            w * dn._transport(30, f[None, :], np.array([t]), np.ones(1))
-            for f, t, w in zip(folded, shifts, weights)
+            w * dn._transport(30, folded[r][None, :], [0], np.array([t]), np.ones(1))
+            for r, t, w in zip(rows, shifts, weights)
         )
         assert np.abs(batch - singles).max() <= 1e-12
 
@@ -414,6 +448,68 @@ class TestAssemblePrior:
         branches = branches_of((0.0, 1.0, 0.5), (3.0, 11.0, 0.25), (-3.0, -11.0, 0.25))
         with pytest.raises(DomainEscapeError, match="branch 1 "):
             dn.assemble_prior(branches, grid)
+
+    def test_escape_inside_a_start_group_stops_at_its_branch(self, monkeypatch):
+        # one bump per branch, in order, up to the first escape: the
+        # benchmark's traced bump count relies on it
+        bumps = counting(monkeypatch, "mollified_delta")
+        grid = wide_grid()
+        branches = branches_of(
+            (0.5, 1.0, 0.25), (0.5, 11.0, 0.25), (0.5, -11.0, 0.25), (0.5, 0.0, 0.25)
+        )
+        with pytest.raises(DomainEscapeError, match="branch 1 "):
+            dn.assemble_prior(branches, grid)
+        assert len(bumps) == 2
+
+    def test_one_bump_per_branch_without_escape(self, monkeypatch):
+        bumps = counting(monkeypatch, "mollified_delta")
+        branches = branches_of(
+            (0.5, 1.0, 0.25), (0.5, 2.0, 0.25), (-1.0, -2.0, 0.25), (-1.0, 0.0, 0.25)
+        )
+        dn.assemble_prior(branches, wide_grid())
+        assert [args[1] for args in bumps] == [0.5, 0.5, -1.0, -1.0]
+
+    def test_support_over_the_margin_with_negligible_mass_passes(self, monkeypatch):
+        # the 1e-12-of-peak support edge crosses the margin by a quarter
+        # of a bump width, but the mass beyond it is far below 1e-6
+        grid = wide_grid()
+        bump = dn.mollified_delta(grid, 0.0).values
+        sigma = dn.mollification_sigma(grid, 0.0, 1.5)
+        hi_bound = dn._margin_bounds(grid)[1]
+        shift = hi_bound - dn._support_range(grid, bump)[1] + 0.25 * sigma
+        outside = grid.nodes + shift > hi_bound
+        escaped = grid.physical_weights[outside] @ bump[outside]
+        assert 0.0 < escaped <= 1e-6 * (grid.physical_weights @ bump)
+        checks = counting(monkeypatch, "_check_escaped_mass")
+        prior = dn.assemble_prior(branches_of((0.0, 0.0, 0.5), (0.0, shift, 0.5)), grid)
+        assert [args[-1] for args in checks] == ["branch 1"]
+        assert dn.integrate(prior) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["linear-64x64", "growth-16x16"])
+    def test_equals_per_branch_reference(self, case):
+        if case == "linear-64x64":
+            model, quantiles, order = linear_model(0.9), 64, 149
+            posterior = gaussian_density(wide_grid(99, 8.0), 0.3, 1.0)
+        else:
+            model, quantiles, order = benchmark_model(), 16, 99
+            posterior = gaussian_density(wide_grid(99, 18.0), 0.0, 5.0)
+        noise = gaussian_quantile_points(quantiles, model.process_noise.variance)
+        branches = dn.make_branches(posterior, noise, model, 1, quantiles)
+        domain = dn.prediction_domain(branches, order, 1.5, model.process_noise.std)
+        grid = SpectralGrid.build(order, domain)
+        reference = per_branch_prior(branches, grid)
+        prior = dn.assemble_prior(branches, grid)
+        assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+
+    def test_equal_starts_need_not_be_contiguous(self):
+        grid = wide_grid()
+        branches = branches_of(
+            (1.0, 2.0, 0.2), (-1.0, -1.5, 0.2), (1.0, 0.0, 0.2), (1.0, 3.0, 0.2),
+            (-1.0, 1.0, 0.2),
+        )
+        reference = per_branch_prior(branches, grid)
+        prior = dn.assemble_prior(branches, grid)
+        assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()
