@@ -58,6 +58,9 @@ _MASS_SUM_TOL = 1e-9
 # branches transported per batched transform; bounds the working arrays
 _BRANCH_CHUNK = 256
 
+# mollified_delta's last result: (grid, center, width_factor, bump)
+_last_bump = (None, None, None, None)
+
 
 @dataclass(frozen=True)
 class GridDensity:
@@ -163,8 +166,21 @@ def mollified_delta(
 
     The standard deviation is ``width_factor`` times the mean node spacing
     adjacent to *center*, so the bump stays resolvable wherever it is placed.
+
+    The last bump built is cached: a call on the same grid object with an
+    equal *center* and *width_factor* returns that same bump without
+    rebuilding it, so :func:`assemble_prior`'s one call per branch builds
+    one bump per start group.  The returned bump may therefore be shared;
+    like every :class:`GridDensity` it is read-only.  The traced
+    ``density.mollified_delta.calls`` counts calls, not builds.
     """
+    global _last_bump
     center = float(center)
+    # read the entry once and replace it whole, so a concurrent caller never
+    # sees a torn entry; a lost replacement only costs a rebuild
+    cached_grid, cached_center, cached_width, cached = _last_bump
+    if grid is cached_grid and center == cached_center and width_factor == cached_width:
+        return cached
     if not grid.domain.lo < center < grid.domain.hi:
         raise ValueError(
             f"delta center {center} not strictly inside "
@@ -175,7 +191,9 @@ def mollified_delta(
     sigma = mollification_sigma(grid, center, width_factor)
     values = np.exp(-0.5 * ((grid.nodes - center) / sigma) ** 2)
     values /= grid.physical_weights @ values
-    return GridDensity(grid, values)
+    bump = GridDensity(grid, values)
+    _last_bump = (grid, center, width_factor, bump)
+    return bump
 
 
 def mollification_sigma(grid: SpectralGrid, center: float, width_factor: float) -> float:
@@ -366,8 +384,10 @@ def assemble_prior(
     for i, (start, velocity, opens) in enumerate(
         zip(starts.tolist(), branches.velocity.tolist(), opens_group.tolist())
     ):
-        # one bump per branch, in order: perfbench/test_smoke.py counts the
-        # calls per branch (ROADMAP item 6); a group uses its first
+        # one call per branch, in order: the traced
+        # density.mollified_delta.calls counts calls, not builds, and
+        # perfbench/test_smoke.py pins one per branch (ROADMAP item 1); only
+        # a group's first call builds its bump, the rest hit the cache
         bump = mollified_delta(grid_next, start, width_factor)
         if opens:
             bumps.append(bump.values)

@@ -35,8 +35,10 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not (self.variance > 0.0 and math.isfinite(self.variance)):
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
 
     @property
     def std(self) -> float:
@@ -76,6 +78,10 @@ class NoiseQuantization:
         wts = np.array(self.weights, dtype=float)
         if pts.ndim != 1 or pts.shape != wts.shape or pts.size == 0:
             raise ValueError("points and weights must be equal-length 1-D arrays")
+        if not np.isfinite(pts).all():
+            raise ValueError("noise points must be finite")
+        if not np.isfinite(wts).all():
+            raise ValueError("noise weights must be finite")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("points must be strictly increasing")
         if wts.min() <= 0.0:
@@ -107,6 +113,12 @@ class PfState:
         wts = np.array(self.weights, dtype=float)
         if parts.ndim != 1 or parts.shape != wts.shape or parts.size == 0:
             raise ValueError("particles and weights must be equal-length 1-D arrays")
+        if not np.isfinite(parts).all():
+            raise ValueError("particles must be finite")
+        if not np.isfinite(wts).all():
+            raise ValueError("particle weights must be finite")
+        if wts.min() < 0.0:
+            raise ValueError("particle weights must be nonnegative")
         if abs(wts.sum() - 1.0) > 1e-9:
             raise ValueError(f"particle weights sum to {wts.sum()!r}, expected 1")
         parts.setflags(write=False)

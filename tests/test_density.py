@@ -1,7 +1,12 @@
 """Grid densities, mollified deltas, advection and prior assembly."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pdefilter import density as dn
@@ -64,6 +69,17 @@ def per_branch_prior(branches, grid, width_factor=1.5):
     return dn.normalize(dn.GridDensity(grid, values))
 
 
+def fresh_bump(grid, center, width_factor=1.5):
+    """``mollified_delta`` built from an emptied cache; the cache entry is
+    put back afterwards."""
+    saved = dn._last_bump
+    dn._last_bump = (None, None, None, None)
+    try:
+        return dn.mollified_delta(grid, center, width_factor)
+    finally:
+        dn._last_bump = saved
+
+
 def counting(monkeypatch, name):
     """Replace ``density.<name>`` by a wrapper that records its calls."""
     calls = []
@@ -81,6 +97,22 @@ def branches_of(*triples):
     """Branches from (start, end, mass) triples, with zero noise values."""
     starts, ends, masses = (np.array(column, dtype=float) for column in zip(*triples))
     return dn.Branches(starts, np.zeros(len(triples)), masses, ends)
+
+
+def prediction_step(case):
+    """Branches and next grid of one benchmark-sized prediction from a
+    Gaussian posterior: 64 x 64 branches on the linear model or 16 x 16 on
+    the growth model."""
+    if case == "linear-64x64":
+        model, quantiles, order = linear_model(0.9), 64, 149
+        posterior = gaussian_density(wide_grid(99, 8.0), 0.3, 1.0)
+    else:
+        model, quantiles, order = benchmark_model(), 16, 99
+        posterior = gaussian_density(wide_grid(99, 18.0), 0.0, 5.0)
+    noise = gaussian_quantile_points(quantiles, model.process_noise.variance)
+    branches = dn.make_branches(posterior, noise, model, 1, quantiles)
+    domain = dn.prediction_domain(branches, order, 1.5, model.process_noise.std)
+    return branches, SpectralGrid.build(order, domain)
 
 
 def linear_model(slope=1.0):
@@ -138,6 +170,91 @@ class TestMollifiedDelta:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError, match="width_factor"):
             dn.mollified_delta(wide_grid(), 0.0, width_factor=0.0)
+
+    def test_repeat_call_returns_the_same_bump(self, monkeypatch):
+        grid = wide_grid()
+        first = dn.mollified_delta(grid, 0.8)
+        builds = counting(monkeypatch, "mollification_sigma")
+        assert dn.mollified_delta(grid, 0.8) is first
+        assert dn.mollified_delta(grid, 0.8, 1.5) is first
+        assert builds == []
+        assert not first.values.flags.writeable
+
+    @pytest.mark.parametrize("changed", ["grid", "center", "width_factor"])
+    def test_changed_argument_rebuilds_bit_equal(self, monkeypatch, changed):
+        # a new grid object with an equal domain is a different grid to the
+        # cache: it compares grids by identity
+        grid = wide_grid()
+        first = dn.mollified_delta(grid, 0.8, 1.5)
+        args = {
+            "grid": (wide_grid(), 0.8, 1.5),
+            "center": (grid, 0.9, 1.5),
+            "width_factor": (grid, 0.8, 2.0),
+        }[changed]
+        builds = counting(monkeypatch, "mollification_sigma")
+        bump = dn.mollified_delta(*args)
+        assert bump is not first and len(builds) == 1
+        assert bump.grid is args[0]
+        assert bump.values.tobytes() == fresh_bump(*args).values.tobytes()
+
+    def test_center_outside_rejected_after_a_cached_call(self):
+        grid = wide_grid()
+        dn.mollified_delta(grid, 0.8)
+        with pytest.raises(ValueError, match="inside"):
+            dn.mollified_delta(grid, 13.5)
+        with pytest.raises(ValueError, match="inside"):
+            dn.mollified_delta(grid, np.nan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([-2.0, 0.0, 0.8]) | st.floats(-8.9, 8.9),
+                st.sampled_from([1.0, 1.5, 2.0]),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_any_call_sequence_equals_fresh_builds(self, calls):
+        # grids 0 and 1 have equal domains, grid 2 another order and domain
+        grids = (wide_grid(), wide_grid(), wide_grid(47, 9.0))
+        for g, center, width_factor in calls:
+            bump = dn.mollified_delta(grids[g], center, width_factor)
+            expected = fresh_bump(grids[g], center, width_factor)
+            assert bump.grid is grids[g]
+            assert bump.values.tobytes() == expected.values.tobytes()
+
+    def test_concurrent_callers_get_their_own_bump(self):
+        # threads switching every microsecond interleave their cache reads
+        # and replacements; each must still get the bump it asked for
+        grids = (wide_grid(), wide_grid(47, 9.0))
+        centers = (-2.0, 0.0, 0.8)
+        expected = {
+            (g, c): fresh_bump(grids[g], c).values.tobytes() for g in (0, 1) for c in centers
+        }
+        wrong = []
+
+        def caller(offset):
+            for i in range(300):
+                g, c = (i + offset) % 2, centers[(i // 2 + offset) % 3]
+                bump = dn.mollified_delta(grids[g], c)
+                if bump.grid is not grids[g] or bump.values.tobytes() != expected[g, c]:
+                    wrong.append((g, c))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("order", [1, 47, 99, 149])
     def test_sigma_equals_mean_of_all_gaps_formula(self, order):
@@ -487,19 +604,21 @@ class TestAssemblePrior:
 
     @pytest.mark.parametrize("case", ["linear-64x64", "growth-16x16"])
     def test_equals_per_branch_reference(self, case):
-        if case == "linear-64x64":
-            model, quantiles, order = linear_model(0.9), 64, 149
-            posterior = gaussian_density(wide_grid(99, 8.0), 0.3, 1.0)
-        else:
-            model, quantiles, order = benchmark_model(), 16, 99
-            posterior = gaussian_density(wide_grid(99, 18.0), 0.0, 5.0)
-        noise = gaussian_quantile_points(quantiles, model.process_noise.variance)
-        branches = dn.make_branches(posterior, noise, model, 1, quantiles)
-        domain = dn.prediction_domain(branches, order, 1.5, model.process_noise.std)
-        grid = SpectralGrid.build(order, domain)
+        branches, grid = prediction_step(case)
         reference = per_branch_prior(branches, grid)
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+
+    def test_one_bump_build_per_start_group(self, monkeypatch):
+        # every branch still calls mollified_delta, but only the first call
+        # of each start group misses the cache and builds (and only a build
+        # computes the width)
+        branches, grid = prediction_step("linear-64x64")
+        calls = counting(monkeypatch, "mollified_delta")
+        builds = counting(monkeypatch, "mollification_sigma")
+        dn.assemble_prior(branches, grid)
+        assert len(calls) == 4096
+        assert len(builds) == 64
 
     def test_equal_starts_need_not_be_contiguous(self):
         grid = wide_grid()

@@ -479,3 +479,31 @@ class TestValidation:
     def test_gaussian_spec_variance(self):
         with pytest.raises(ValueError):
             flt.GaussianSpec(0.0, -1.0)
+
+    def test_noise_quantization_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="noise points must be finite"):
+            flt.NoiseQuantization([math.nan], [1.0])
+
+    def test_noise_quantization_rejects_non_finite_weights(self):
+        with pytest.raises(ValueError, match="noise weights must be finite"):
+            flt.NoiseQuantization([0.0, 1.0], [math.nan, math.nan])
+
+    def test_pf_state_rejects_non_finite_weights(self):
+        with pytest.raises(ValueError, match="particle weights must be finite"):
+            flt.PfState([1.0, 2.0], [math.nan, math.nan])
+
+    def test_pf_state_rejects_non_finite_particles(self):
+        with pytest.raises(ValueError, match="particles must be finite"):
+            flt.PfState([1.0, math.inf], [0.5, 0.5])
+
+    def test_pf_state_rejects_negative_weights(self):
+        with pytest.raises(ValueError, match="particle weights must be nonnegative"):
+            flt.PfState([1.0, 2.0], [1.5, -0.5])
+
+    def test_gaussian_spec_rejects_non_finite_mean(self):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            flt.GaussianSpec(math.nan, 1.0)
+
+    def test_gaussian_spec_rejects_non_finite_variance(self):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            flt.GaussianSpec(0.0, math.inf)
