@@ -86,6 +86,7 @@ class ExperimentConfig:
     state_quantiles: int = 16
     noise_points: int = 16
     seed: int = 42
+    pdef: f.PdefConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "filters", tuple(self.filters))
@@ -94,14 +95,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown filter {name!r}")
         if not self.filters:
             raise ValueError("no filters requested")
-        for attr in ("steps", "runs", "particles",
-                     "state_quantiles", "noise_points"):
+        for attr in ("steps", "runs", "particles", "noise_points"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
-        # the density filter's own bound (PdefConfig), checked here so that
-        # the CLI reports it as a usage error before any run starts
-        if self.grid_nodes < 4:
-            raise ValueError(f"grid_nodes must be >= 4, got {self.grid_nodes}")
+        # the density filter's configuration, built here so that the CLI
+        # reports its bounds as a usage error before any run starts
+        pdef = f.PdefConfig(grid_nodes=self.grid_nodes, state_quantiles=self.state_quantiles)
+        object.__setattr__(self, "pdef", pdef)
 
 
 @dataclass
@@ -185,14 +185,9 @@ def _step_estimates(name, cfg, model, noise, observations, pf_rng):
             state = f.pf_step(state, model, k, observations[k - 1], pf_rng)
             yield f.estimate(state)
     elif name == "pdef":
-        pdef_cfg = f.PdefConfig(
-            grid_nodes=cfg.grid_nodes, state_quantiles=cfg.state_quantiles
-        )
-        state = f.pdef_init(model, pdef_cfg)
+        state = f.pdef_init(model, cfg.pdef)
         for k in range(1, steps + 1):
-            state = f.pdef_step(
-                state, model, noise, k, observations[k - 1], pdef_cfg
-            )
+            state = f.pdef_step(state, model, noise, k, observations[k - 1], cfg.pdef)
             yield f.estimate(state)
     else:
         raise ValueError(f"unknown filter {name!r}")

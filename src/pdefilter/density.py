@@ -3,11 +3,15 @@ them forward one filter step.
 
 A :class:`GridDensity` stores nonnegative nodal values of a probability
 density (per unit of physical x) on a :class:`~pdefilter.chebyshev.SpectralGrid`.
-Prediction decomposes the current posterior into weighted "branches" (one
-representative start state paired with one representative process-noise
-value), transports a narrow Gaussian bump along each branch's characteristic
-with the exact advection propagator, and sums the transported mass into the
-prior for the next step.
+Prediction decomposes the current posterior into weighted "branches", the
+product of representative start states with the representative points of
+the quantized process noise, transports a narrow Gaussian bump along each
+branch's characteristic with the exact advection propagator, and sums the
+transported mass into the prior for the next step.  The noise is additive,
+``x_k = f(x, k) + v``, and the propagators commute, so the branch sum
+factors exactly into one rotation per start by its drift ``f(x) - x``,
+summed, times one noise factor ``sum_p w_p exp(v_p F)``.  The noise keeps
+the paper's quantized points, not the exact Gaussian factor.
 
 Advection solves ``dp/dtau + v dp/dx = 0`` semi-discretely: ``dp/dtau = L p``
 with ``L = -v_ref D`` on the reference interval, integrated exactly over the
@@ -35,7 +39,7 @@ is imaginary to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,9 +58,6 @@ _MASS_FLOOR = 1e-300
 
 # branch masses must sum to one this tightly before a prediction step
 _MASS_SUM_TOL = 1e-9
-
-# branches transported per batched transform; bounds the working arrays
-_BRANCH_CHUNK = 256
 
 # mollified_delta's last result: (grid, center, width_factor, bump)
 _last_bump = (None, None, None, None)
@@ -85,44 +86,52 @@ class GridDensity:
 
 @dataclass(frozen=True)
 class Branches:
-    """The transported characteristics of one prediction step, as arrays.
+    """The transported characteristics of one prediction step: the product
+    of S start states with P process-noise points, as arrays.
 
-    Entry i is one branch: it starts at a representative posterior state
-    ``start_state[i]``, carries the probability mass ``mass[i]`` of its
-    (state, noise) pair, and ends where the transition map sends it,
-    ``end_state[i]``; ``velocity`` is the constant secant rate
-    ``end_state - start_state`` over the unit pseudo-time step.  The arrays
-    are validated once and stored read-only.
+    Start s sits at ``start_state[s]``, carries probability mass
+    ``start_mass[s]`` and is moved by the noise-free transition by
+    ``drift[s]``; noise point p has value ``noise_value[p]`` and weight
+    ``noise_weight[p]``.  Branch ``i = s * P + p`` pairs the two: it carries
+    mass ``start_mass[s] * noise_weight[p]`` and moves at the constant
+    velocity ``drift[s] + noise_value[p]`` over the unit pseudo-time step,
+    which under additive noise lands it on ``transition(start, k, noise)``.
+    ``len()`` is the branch count S * P.  The arrays are validated once and
+    stored read-only.
     """
 
     start_state: np.ndarray
+    start_mass: np.ndarray
+    drift: np.ndarray
     noise_value: np.ndarray
-    mass: np.ndarray
-    end_state: np.ndarray
-    velocity: np.ndarray = field(init=False)
+    noise_weight: np.ndarray
 
     def __post_init__(self):
-        names = ("start_state", "noise_value", "mass", "end_state")
+        names = ("start_state", "start_mass", "drift", "noise_value", "noise_weight")
         arrays = [np.array(getattr(self, name), dtype=float) for name in names]
-        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
-            raise ValueError("branch fields must be equal-length 1-D arrays")
-        arrays.append(arrays[3] - arrays[0])
-        names += ("velocity",)
+        for first, *rest in (arrays[:3], arrays[3:]):
+            if first.ndim != 1 or any(a.shape != first.shape for a in rest):
+                raise ValueError("branch fields must be equal-length 1-D arrays")
         for name, a in zip(names, arrays):
             if not np.isfinite(a).all():
                 raise ValueError(f"branch field {name} must be finite")
-        mass = arrays[2]
-        if mass.size and not (mass.min() > 0.0 and mass.max() <= 1.0):
-            raise ValueError(
-                f"branch masses must be in (0, 1], got range "
-                f"[{mass.min()}, {mass.max()}]"
-            )
+            if name in ("start_mass", "noise_weight") and a.size:
+                if not (a.min() > 0.0 and a.max() <= 1.0):
+                    raise ValueError(
+                        f"branch field {name} must be in (0, 1], got range "
+                        f"[{a.min()}, {a.max()}]"
+                    )
+        drift, noise = arrays[2], arrays[3]
+        if drift.size and noise.size:
+            velocity = (drift.min() + noise.min(), drift.max() + noise.max())
+            if not np.isfinite(velocity).all():
+                raise ValueError("branch velocity must be finite")
         for name, a in zip(names, arrays):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return self.mass.size
+        return self.start_state.size * self.noise_value.size
 
 
 def integrate(density: GridDensity) -> float:
@@ -233,13 +242,8 @@ def advect_step(
         raise ValueError(f"dt must be positive, got {dt}")
     grid = density.grid
     _check_shifted_support(grid, density.values, velocity * dt, label)
-    moved = _transport(
-        grid.order,
-        _fold(density.values)[None, :],
-        np.zeros(1, dtype=int),
-        np.array([velocity * dt * affine_scale(grid.domain)]),
-        np.ones(1),
-    )
+    shift = velocity * dt * affine_scale(grid.domain)
+    moved = _transport(grid.order, _fold(density.values)[None, :], [shift], [1.0])
     return GridDensity(grid, np.clip(_unfold(moved), 0.0, None))
 
 
@@ -264,13 +268,13 @@ def folded_generator(grid: SpectralGrid, velocity: float) -> np.ndarray:
 def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:
     """Decompose a posterior into transported branches for one prediction.
 
-    Takes the Cartesian product of ``state_points`` equal-probability
-    quantiles of *posterior* (inverted from its quadrature CDF) with the
-    representative points of *noise*, start-major; each branch carries mass
-    ``noise_weight / state_points``, ends at ``model.transition(start, k,
-    noise_value)`` and moves at the secant velocity ``end - start``.  The
-    transition is called once, on the broadcast (starts x noise points)
-    pair of arrays.
+    The branches are the product of ``state_points`` equal-probability
+    quantiles of *posterior* (inverted from its quadrature CDF), each of
+    mass ``1 / state_points``, with the representative points of *noise*.
+    Each start's drift ``model.transition(start, k, 0.0) - start`` comes
+    from one transition call on the array of starts; the noise points are
+    added to it, which relies on the model's additive-noise contract
+    (:class:`~pdefilter.filters.ScalarStateModel`).
 
     Raises
     ------
@@ -284,9 +288,7 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
 
     if state_points < 1:
         raise ValueError(f"state_points must be >= 1, got {state_points}")
-    points = np.asarray(noise.points, dtype=float)
-    weights = np.asarray(noise.weights, dtype=float)
-    if points.size == 0:
+    if np.size(noise.points) == 0:
         raise ValueError("noise quantization is empty")
     if not integrate(posterior) > _MASS_FLOOR:
         raise FilterDivergenceError(
@@ -294,15 +296,13 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
         )
     probs = (2.0 * np.arange(state_points) + 1.0) / (2.0 * state_points)
     starts = density_quantiles(posterior, probs)
-    shape = (starts.size, points.size)
-    ends = model_output(
-        "transition", model.transition(starts[:, None], k, points[None, :]), shape, k
-    )
+    moved = model_output("transition", model.transition(starts, k, 0.0), starts.shape, k)
     return Branches(
-        start_state=np.repeat(starts, points.size),
-        noise_value=np.tile(points, starts.size),
-        mass=np.tile(weights / state_points, starts.size),
-        end_state=ends.ravel(),
+        start_state=starts,
+        start_mass=np.full(state_points, 1.0 / state_points),
+        drift=moved - starts,
+        noise_value=noise.points,
+        noise_weight=noise.weights,
     )
 
 
@@ -338,12 +338,15 @@ def prediction_domain(
 
     Covers every branch start and end with a margin of four process-noise
     standard deviations plus four estimated mollification widths, so the
-    transported bumps and their tails stay clear of the boundaries.
-    ``margin_scale`` widens the margin when a previous attempt tripped the
-    boundary check (coarse grids carry wide bumps with long tails).
+    transported bumps and their tails stay clear of the boundaries.  The
+    extreme ends are the extreme noise-free ends ``start + drift`` plus the
+    extreme noise points.  ``margin_scale`` widens the margin when a
+    previous attempt tripped the boundary check (coarse grids carry wide
+    bumps with long tails).
     """
-    lo = min(branches.start_state.min(), branches.end_state.min())
-    hi = max(branches.start_state.max(), branches.end_state.max())
+    ends = branches.start_state + branches.drift
+    lo = min(branches.start_state.min(), ends.min() + branches.noise_value.min())
+    hi = max(branches.start_state.max(), ends.max() + branches.noise_value.max())
     sigma_est = width_factor * (hi - lo) / order
     margin = 4.0 * (process_std + sigma_est) * margin_scale
     return Interval(lo - margin, hi + margin)
@@ -358,80 +361,71 @@ def assemble_prior(
 
     Each branch contributes a mass-weighted mollified delta placed at its
     start state and advected exactly by its velocity over unit pseudo-time,
-    so it lands on its end state.  Consecutive branches with equal start
-    states form a start group and share one bump, so its occupied support
-    range is found once per group.  Branches are checked against the
-    boundary margin in order, each by two comparisons of its group's range
-    shifted by its velocity; only a branch that fails them has its escaped
-    mass measured, and the first whose mass escapes raises.  The transport
-    is one batched spectral transform per chunk of branches, which takes
-    each group's bump to eigen-coordinates once and rotates them per
-    branch.  Negative spectral ringing is clipped once, on the summed
-    prior, not per branch: ringing of neighbouring bumps partly cancels,
-    and the sum is what the update step sees.
+    so it lands on its end state.  The branches of one start share its
+    bump, so its occupied support range is found once per start.  Branches
+    are checked against the boundary margin in order, each by two
+    comparisons of its start's range shifted by its velocity; only a branch
+    that fails them has its escaped mass measured, and the first whose mass
+    escapes raises.  The transport factors over the product: each start's
+    bump is taken to eigen-coordinates once and rotated by its mass and
+    drift, the starts are summed, the sum is multiplied by the noise factor
+    and transformed back once.  Negative spectral ringing is clipped once,
+    on the summed prior, not per branch: ringing of neighbouring bumps
+    partly cancels, and the sum is what the update step sees.
     """
     if len(branches) == 0:
         raise ValueError("no branches to assemble")
-    total_mass = float(branches.mass.sum())
+    total_mass = float(branches.start_mass.sum() * branches.noise_weight.sum())
     if abs(total_mass - 1.0) > _MASS_SUM_TOL:
         raise ValueError(f"branch masses sum to {total_mass!r}, expected 1")
 
-    starts = branches.start_state
-    opens_group = np.concatenate([[True], starts[1:] != starts[:-1]])
-    group = np.cumsum(opens_group) - 1
     lo_bound, hi_bound = _margin_bounds(grid_next)
-    bumps = []  # nodal values of each group's bump
-    for i, (start, velocity, opens) in enumerate(
-        zip(starts.tolist(), branches.velocity.tolist(), opens_group.tolist())
+    noise = branches.noise_value.tolist()
+    bumps = []  # nodal values of each start's bump
+    for s, (start, drift) in enumerate(
+        zip(branches.start_state.tolist(), branches.drift.tolist())
     ):
-        # one call per branch, in order: the traced
-        # density.mollified_delta.calls counts calls, not builds, and
-        # perfbench/test_smoke.py pins one per branch (ROADMAP item 1); only
-        # a group's first call builds its bump, the rest hit the cache
-        bump = mollified_delta(grid_next, start, width_factor)
-        if opens:
-            bumps.append(bump.values)
-            lo, hi = _support_range(grid_next, bump.values)
-        if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
-            _check_escaped_mass(
-                grid_next, bumps[-1], velocity, (lo, hi), f"branch {i}"
-            )
+        for p, v in enumerate(noise):
+            # one call per branch, in order: the traced bump count of the
+            # benchmark pins it (ROADMAP item 1); a start's first call builds
+            # its bump, the rest hit the cache
+            bump = mollified_delta(grid_next, start, width_factor)
+            if p == 0:
+                bumps.append(bump.values)
+                lo, hi = _support_range(grid_next, bump.values)
+            velocity = drift + v
+            if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
+                label = f"branch {s * len(noise) + p}"
+                _check_escaped_mass(grid_next, bump.values, velocity, (lo, hi), label)
 
-    folded = _fold(np.array(bumps))
     scale = affine_scale(grid_next.domain)
-    accum = np.zeros(grid_next.order)
-    for first in range(0, len(branches), _BRANCH_CHUNK):
-        chunk = slice(first, first + _BRANCH_CHUNK)
-        rows = group[chunk]
-        accum += _transport(
-            grid_next.order,
-            folded[rows[0] : rows[-1] + 1],
-            rows - rows[0],
-            scale * branches.velocity[chunk],
-            branches.mass[chunk],
-        )
+    accum = _transport(
+        grid_next.order,
+        _fold(np.array(bumps)),
+        scale * branches.drift,
+        branches.start_mass,
+        scale * branches.noise_value,
+        branches.noise_weight,
+    )
     values = np.clip(_unfold(accum), 0.0, None)
     return normalize(GridDensity(grid_next, values))
 
 
 @dataclass(frozen=True)
 class _Eigensystem:
-    """``F_N = V diag(lam) V^-1`` in real arithmetic.
+    """``F_N = V diag(lam) V^-1`` on one member of each conjugate pair.
 
-    Of each conjugate pair only the member with positive imaginary part is
-    kept, together with every real eigenvalue: ``lam = alpha + i omega``,
-    the matching rows of ``V^-1`` are ``w_re + i w_im`` and the columns of
-    V are ``v_re + i v_im``, doubled for a pair so that the real part of the
-    kept half is the whole real result.  ``cond`` is the 2-norm condition
-    number of V, the factor by which the transform can amplify rounding.
+    ``lam`` keeps every real eigenvalue and, of each conjugate pair, the
+    member with positive imaginary part; ``w`` holds the matching rows of
+    ``V^-1`` and ``v`` the matching columns of V, doubled for a pair, so that
+    the real part of a transform back over the kept half is the whole real
+    result.  ``cond`` is the 2-norm condition number of V, the factor by
+    which the transform can amplify rounding.
     """
 
-    alpha: np.ndarray
-    omega: np.ndarray
-    w_re: np.ndarray
-    w_im: np.ndarray
-    v_re: np.ndarray
-    v_im: np.ndarray
+    lam: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
     cond: float
 
 
@@ -450,42 +444,34 @@ def _cdf_kernel(order: int) -> np.ndarray:
 def _eigensystem(order: int) -> _Eigensystem:
     unit = folded_generator(SpectralGrid.build(order, Interval(-1.0, 1.0)), 1.0)
     lam, vecs = np.linalg.eig(unit)
-    inv = np.linalg.inv(vecs)
     keep = lam.imag >= 0.0
     doubled = np.where(lam.imag[keep] > 0.0, 2.0, 1.0)
-    arrays = (
-        lam.real[keep],
-        lam.imag[keep],
-        inv.real[keep],
-        inv.imag[keep],
-        vecs.real[:, keep] * doubled,
-        vecs.imag[:, keep] * doubled,
-    )
+    arrays = (lam[keep], np.linalg.inv(vecs)[keep], vecs[:, keep] * doubled)
     for a in arrays:
         a.setflags(write=False)
     return _Eigensystem(*arrays, float(np.linalg.cond(vecs)))
 
 
-def _transport(order: int, folded: np.ndarray, rows, shifts, weights) -> np.ndarray:
-    """``sum_b weights[b] expm(shifts[b] F_N) folded[rows[b]]`` for a batch.
+def _transport(
+    order: int, folded: np.ndarray, shifts, weights,
+    noise_shifts=(0.0,), noise_weights=(1.0,),
+) -> np.ndarray:
+    """``sum_p sum_b noise_weights[p] weights[b] expm((shifts[b] +
+    noise_shifts[p]) F_N) folded[b]``, the one propagator of this module.
 
-    *folded* holds one folded vector per row, and ``rows[b]`` picks branch
-    b's; *shifts* are reference-interval distances (velocity times scale
-    times pseudo-time).  Each row of *folded* is taken to eigen-coordinates
-    once, each branch rotates its row's coordinates by its own
-    ``exp(shift lam)`` and weight, and the branches are summed before the
-    single transform back.
+    *folded* holds one folded vector per row; shifts are reference-interval
+    distances (velocity times scale times pseudo-time).  The propagators
+    commute, so the double sum factors: each row is taken to
+    eigen-coordinates once and rotated by its weight and ``exp(shift lam)``,
+    the rows are summed, and the sum is multiplied by the noise factor
+    ``sum_p noise_weights[p] exp(noise_shifts[p] lam)`` (one by default)
+    before the single transform back.
     """
     eig = _eigensystem(order)
-    c_re = (folded @ eig.w_re.T)[rows]
-    c_im = (folded @ eig.w_im.T)[rows]
-    gain = weights[:, None] * np.exp(np.outer(shifts, eig.alpha))
-    phase = np.outer(shifts, eig.omega)
-    cos = gain * np.cos(phase)
-    sin = gain * np.sin(phase)
-    z_re = (c_re * cos - c_im * sin).sum(axis=0)
-    z_im = (c_re * sin + c_im * cos).sum(axis=0)
-    return eig.v_re @ z_re - eig.v_im @ z_im
+    coords = np.exp(np.outer(shifts, eig.lam)) * (folded @ eig.w.T)
+    noise = np.exp(np.outer(noise_shifts, eig.lam))
+    z = (weights @ coords) * (noise_weights @ noise)
+    return (eig.v @ z).real
 
 
 def _fold(values: np.ndarray) -> np.ndarray:

@@ -57,6 +57,11 @@ class ScalarStateModel:
     floats, which is how the unscented filter calls them.  An output that
     does not depend on ``x`` may be a scalar; it is broadcast.  The inputs
     must not be modified in place.
+
+    The process noise must be additive: the density-evolution filter relies
+    on ``transition(x, k, v) == transition(x, k, 0.0) + v``, calling the
+    transition once with ``v = 0.0`` and adding its noise points.  The
+    particle and unscented filters do not rely on it.  It is not checked.
     """
 
     transition: callable
@@ -135,8 +140,10 @@ class UkfState:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not (self.variance > 0.0 and math.isfinite(self.variance)):
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,10 @@ class PdefConfig:
         if self.state_quantiles < 1:
             raise ValueError(
                 f"state_quantiles must be >= 1, got {self.state_quantiles}"
+            )
+        if not (self.width_factor > 0.0 and math.isfinite(self.width_factor)):
+            raise ValueError(
+                f"width_factor must be positive and finite, got {self.width_factor}"
             )
 
 
@@ -448,6 +459,8 @@ def ukf_step(
     gain = cross / innovation_var
     mean_post = mean_pred + gain * (float(y_k) - y_mean)
     var_post = max(var_pred - gain * gain * innovation_var, 1e-12)
+    if not (math.isfinite(mean_post) and math.isfinite(var_post)):
+        raise FilterDivergenceError(f"unscented filter overflowed at step {k}")
     return UkfState(mean_post, var_post)
 
 

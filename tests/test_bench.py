@@ -171,6 +171,29 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
 
+    def test_builds_the_pdef_config_it_runs_with(self, monkeypatch):
+        cfg = ExperimentConfig(steps=2, runs=1, filters=("pdef",), grid_nodes=40, state_quantiles=6)
+        assert cfg.pdef == flt.PdefConfig(grid_nodes=40, state_quantiles=6)
+        used = []
+        step = flt.pdef_step
+
+        def recording_step(*args):
+            used.append(args[-1])
+            return step(*args)
+
+        monkeypatch.setattr(flt, "pdef_step", recording_step)
+        bench.run_experiment(cfg)
+        assert used and all(c is cfg.pdef for c in used)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"grid_nodes": 3}, "grid_nodes must be >= 4, got 3"),
+         ({"state_quantiles": 0}, "state_quantiles must be >= 1, got 0")],
+    )
+    def test_pdef_bounds_come_from_pdef_config(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
+
 
 class TestReportAccounting:
     def test_failed_runs_kept_out_of_mean_but_counted(self):

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -36,12 +36,22 @@ def gaussian_density(grid, mean, variance):
     )
 
 
+def expanded(branches):
+    """The S x P branches of a product, start-major: (start, velocity, mass)
+    arrays with branch ``s * P + p`` at index ``s * P + p``."""
+    p = branches.noise_value.size
+    starts = np.repeat(branches.start_state, p)
+    velocity = (branches.drift[:, None] + branches.noise_value[None, :]).ravel()
+    mass = np.outer(branches.start_mass, branches.noise_weight).ravel()
+    return starts, velocity, mass
+
+
 def expm_prior(branches, grid, width_factor=1.5):
     """Reference prior: one linalg.expm of the folded generator per branch,
     applied to the folded bump, summed, clipped once and normalized."""
     n = grid.order
     accum = np.zeros(n)
-    for start, velocity, mass in zip(branches.start_state, branches.velocity, branches.mass):
+    for start, velocity, mass in zip(*expanded(branches)):
         bump = dn.mollified_delta(grid, start, width_factor).values
         folded = np.concatenate([[0.5 * (bump[0] + bump[n])], bump[1:n]])
         propagator = linalg.expm(dn.folded_generator(grid, velocity))
@@ -51,19 +61,20 @@ def expm_prior(branches, grid, width_factor=1.5):
 
 
 def per_branch_prior(branches, grid, width_factor=1.5):
-    """Reference prior without start groups: per branch one bump, one
-    support check and one projected row, transported in a single batch."""
+    """Reference prior without the product: per branch one bump, one support
+    check and one projected row, all S x P rows transported by their own
+    velocity in a single batch with no noise factor."""
+    starts, velocity, mass = expanded(branches)
     bumps = []
-    for i, (start, velocity) in enumerate(zip(branches.start_state, branches.velocity)):
+    for i, (start, v) in enumerate(zip(starts, velocity)):
         bump = dn.mollified_delta(grid, start, width_factor).values
-        dn._check_shifted_support(grid, bump, velocity, f"branch {i}")
+        dn._check_shifted_support(grid, bump, v, f"branch {i}")
         bumps.append(bump)
     accum = dn._transport(
         grid.order,
         dn._fold(np.array(bumps)),
-        np.arange(len(bumps)),
-        dn.affine_scale(grid.domain) * branches.velocity,
-        branches.mass,
+        dn.affine_scale(grid.domain) * velocity,
+        mass,
     )
     values = np.clip(dn._unfold(accum), 0.0, None)
     return dn.normalize(dn.GridDensity(grid, values))
@@ -94,9 +105,38 @@ def counting(monkeypatch, name):
 
 
 def branches_of(*triples):
-    """Branches from (start, end, mass) triples, with zero noise values."""
+    """Branches from (start, end, mass) triples: one start per triple, with
+    drift ``end - start``, and a single zero noise point."""
     starts, ends, masses = (np.array(column, dtype=float) for column in zip(*triples))
-    return dn.Branches(starts, np.zeros(len(triples)), masses, ends)
+    return dn.Branches(starts, masses, ends - starts, [0.0], [1.0])
+
+
+def product_of(starts, drifts, noise, start_mass=None, noise_weight=None):
+    """Branches of the given starts and noise points, equal masses unless
+    given."""
+    if start_mass is None:
+        start_mass = np.full(len(starts), 1.0 / len(starts))
+    if noise_weight is None:
+        noise_weight = np.full(len(noise), 1.0 / len(noise))
+    return dn.Branches(starts, start_mass, drifts, noise, noise_weight)
+
+
+@st.composite
+def random_products(draw):
+    """Product branches on :func:`wide_grid`: up to 5 starts (repeats
+    likely), up to 5 noise points, random masses; every end stays inside
+    [-7, 7]."""
+    starts = draw(
+        st.lists(st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=5)
+    )
+    drifts = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(starts), max_size=len(starts)))
+    noise = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    masses = [
+        draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+        for n in (len(starts), len(noise))
+    ]
+    start_mass, noise_weight = (np.array(m) / sum(m) for m in masses)
+    return product_of(starts, drifts, noise, start_mass, noise_weight)
 
 
 def prediction_step(case):
@@ -336,10 +376,7 @@ class TestSpectralPropagator:
         expected = linalg.expm(dn.folded_generator(unit, scale))
         eye = np.eye(order)
         got = np.column_stack(
-            [
-                dn._transport(order, eye[j:j + 1], [0], np.array([scale]), np.ones(1))
-                for j in range(order)
-            ]
+            [dn._transport(order, eye[j:j + 1], [scale], [1.0]) for j in range(order)]
         )
         rel = linalg.one_norm(got - expected) / linalg.one_norm(expected)
         assert rel <= 1e-9
@@ -350,57 +387,68 @@ class TestSpectralPropagator:
         # conditioned V and, for a neutral transport, an imaginary spectrum
         eig = dn._eigensystem(order)
         assert eig.cond <= 10.0
-        assert np.abs(eig.alpha).max() <= 1e-10
+        assert np.abs(eig.lam.real).max() <= 1e-10
 
     def test_eigensystem_is_cached_per_order(self):
         assert dn._eigensystem(47) is dn._eigensystem(47)
 
     def test_batch_is_weighted_sum_of_single_transports(self):
-        # branches index their folded vectors, so rows repeat and skip
+        # every row moves by its own shift plus each noise shift in turn
         rng = np.random.default_rng(5)
         folded = rng.normal(size=(3, 30))
-        rows = np.array([2, 0, 2, 1])
-        shifts = np.array([-0.7, 0.1, 2.5, 1.2])
-        weights = np.array([0.2, 0.3, 0.4, 0.1])
-        batch = dn._transport(30, folded, rows, shifts, weights)
+        shifts = np.array([-0.7, 0.1, 2.5])
+        weights = np.array([0.2, 0.3, 0.5])
+        noise_shifts = np.array([-0.4, 0.0, 1.3])
+        noise_weights = np.array([0.25, 0.5, 0.25])
+        batch = dn._transport(30, folded, shifts, weights, noise_shifts, noise_weights)
         singles = sum(
-            w * dn._transport(30, folded[r][None, :], [0], np.array([t]), np.ones(1))
-            for r, t, w in zip(rows, shifts, weights)
+            w * u * dn._transport(30, row[None, :], [t + n], [1.0])
+            for row, t, w in zip(folded, shifts, weights)
+            for n, u in zip(noise_shifts, noise_weights)
         )
         assert np.abs(batch - singles).max() <= 1e-12
 
 
 class TestBranches:
-    def test_arrays_are_read_only_and_velocity_is_secant(self):
-        branches = dn.Branches([0.0, 1.0], [0.5, -0.5], [0.25, 0.75], [2.0, -1.5])
-        assert len(branches) == 2
-        np.testing.assert_array_equal(branches.velocity, [2.0, -2.5])
+    def test_arrays_are_read_only_and_len_counts_branches(self):
+        branches = dn.Branches([0.0, 1.0], [0.25, 0.75], [2.0, -2.5], [0.5, 0.0, -0.5], [0.25, 0.5, 0.25])
+        assert len(branches) == 6
         with pytest.raises(ValueError):
-            branches.mass[0] = 0.5
+            branches.start_mass[0] = 0.5
+        with pytest.raises(ValueError):
+            branches.noise_value[0] = 0.5
 
     def test_rejects_ragged_fields(self):
         with pytest.raises(ValueError, match="equal-length"):
-            dn.Branches([0.0, 1.0], [0.0], [0.5, 0.5], [1.0, 2.0])
+            dn.Branches([0.0, 1.0], [0.5], [1.0, 2.0], [0.0], [1.0])
         with pytest.raises(ValueError, match="equal-length"):
-            dn.Branches([[0.0]], [[0.0]], [[1.0]], [[1.0]])
+            dn.Branches([0.0], [1.0], [1.0], [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            dn.Branches([[0.0]], [[1.0]], [[1.0]], [0.0], [1.0])
 
-    @pytest.mark.parametrize("field", ["start_state", "noise_value", "mass", "end_state"])
+    @pytest.mark.parametrize(
+        "field", ["start_state", "start_mass", "drift", "noise_value", "noise_weight"]
+    )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_fields(self, field, bad):
-        fields = {"start_state": [0.0, 1.0], "noise_value": [0.0, 0.0],
-                  "mass": [0.5, 0.5], "end_state": [1.0, 2.0]}
+        fields = {"start_state": [0.0, 1.0], "start_mass": [0.5, 0.5], "drift": [1.0, 1.0],
+                  "noise_value": [0.0, 0.0], "noise_weight": [0.5, 0.5]}
         fields[field][1] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dn.Branches(**fields)
 
     def test_rejects_overflowing_velocity(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocity must be finite"):
-            dn.Branches([-1e308], [0.0], [1.0], [1e308])
+            dn.Branches([0.0], [1.0], [1e308], [1e308], [1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocity must be finite"):
+            dn.Branches([0.0, 0.0], [0.5, 0.5], [-1e308, 0.0], [-1e308, 1.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("mass", [0.0, -0.25, 1.5])
     def test_rejects_mass_outside_unit_interval(self, mass):
-        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
-            dn.Branches([0.0, 1.0], [0.0, 0.0], [0.5, mass], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"start_mass must be in \(0, 1\]"):
+            dn.Branches([0.0, 1.0], [0.5, mass], [1.0, 1.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match=r"noise_weight must be in \(0, 1\]"):
+            dn.Branches([0.0], [1.0], [1.0], [0.0, 1.0], [0.5, mass])
 
 
 class TestMakeBranches:
@@ -419,10 +467,41 @@ class TestMakeBranches:
             for v, w in zip(noise.points, noise.weights)
         ]
         expected = [np.array(column) for column in zip(*rows)]
-        got = (branches.start_state, branches.noise_value, branches.mass, branches.end_state)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
-        np.testing.assert_array_equal(branches.velocity, expected[3] - expected[0])
+        got_starts, velocity, mass = expanded(branches)
+        np.testing.assert_array_equal(got_starts, expected[0])
+        np.testing.assert_array_equal(np.tile(branches.noise_value, 7), expected[1])
+        np.testing.assert_allclose(mass, expected[2], rtol=1e-15, atol=0.0)
+        ends = got_starts + velocity
+        assert np.abs(ends - expected[3]).max() <= 1e-12 * np.abs(expected[3]).max()
+
+    @pytest.mark.parametrize("model", [linear_model(0.9), benchmark_model()])
+    @pytest.mark.parametrize("k", [1, 4, 50])
+    def test_drift_plus_noise_equals_broadcast_transition(self, model, k):
+        # the additive-noise contract: start + drift + noise is the S x P
+        # transition the branches stand for
+        posterior = gaussian_density(wide_grid(99, 30.0), 2.0, 40.0)
+        noise = gaussian_quantile_points(16, model.process_noise.variance)
+        branches = dn.make_branches(posterior, noise, model, k, 16)
+        starts = branches.start_state
+        expected = model.transition(starts[:, None], k, noise.points[None, :])
+        ends = (starts + branches.drift)[:, None] + branches.noise_value[None, :]
+        assert np.abs(ends - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_one_noise_free_transition_call(self):
+        calls = []
+        base = benchmark_model()
+
+        def transition(x, k, v):
+            calls.append((np.shape(x), v))
+            return base.transition(x, k, v)
+
+        model = ScalarStateModel(
+            transition, base.observation, base.process_noise, base.obs_noise, base.initial
+        )
+        posterior = gaussian_density(wide_grid(), 0.0, 3.0)
+        noise = gaussian_quantile_points(4, model.process_noise.variance)
+        dn.make_branches(posterior, noise, model, 2, 6)
+        assert calls == [((6,), 0.0)]
 
     def test_single_point_degenerate(self):
         grid = wide_grid()
@@ -430,7 +509,7 @@ class TestMakeBranches:
         noise = NoiseQuantization([0.0], [1.0])
         branches = dn.make_branches(posterior, noise, linear_model(), 1, 1)
         assert len(branches) == 1
-        assert branches.mass[0] == 1.0
+        assert branches.start_mass[0] * branches.noise_weight[0] == 1.0
         # single quantile = posterior median
         assert branches.start_state[0] == pytest.approx(0.4, abs=1e-4)
 
@@ -446,8 +525,8 @@ class TestMakeBranches:
             initial=GaussianSpec(0.0, 1.0),
         )
         branches = dn.make_branches(posterior, noise, model, 1, 8)
-        pairs = sorted(zip(branches.start_state, branches.noise_value))
-        mirrored = sorted(zip(-branches.start_state, -branches.noise_value))
+        pairs = sorted((s, v) for s in branches.start_state for v in branches.noise_value)
+        mirrored = sorted((-s, -v) for s, v in pairs)
         for (s1, v1), (s2, v2) in zip(pairs, mirrored):
             assert s1 == pytest.approx(s2, abs=1e-6)
             assert v1 == pytest.approx(v2, abs=1e-12)
@@ -457,14 +536,15 @@ class TestMakeBranches:
         posterior = gaussian_density(grid, 0.0, 10.0)
         noise = NoiseQuantization([0.0], [1.0])
         branches = dn.make_branches(posterior, noise, benchmark_model(), 1, 1)
-        assert branches.end_state[0] == pytest.approx(8.0 * np.cos(1.2), abs=1e-3)
+        end = branches.start_state[0] + branches.drift[0] + branches.noise_value[0]
+        assert end == pytest.approx(8.0 * np.cos(1.2), abs=1e-3)
 
     def test_masses_sum_to_one(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.0, 3.0)
         noise = NoiseQuantization([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         branches = dn.make_branches(posterior, noise, linear_model(), 2, 7)
-        assert branches.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        assert expanded(branches)[2].sum() == pytest.approx(1.0, abs=1e-12)
         assert len(branches) == 21
 
     def test_zero_mass_posterior_rejected(self):
@@ -532,7 +612,8 @@ class TestAssemblePrior:
         grid = wide_grid(80, 30.0)
         branches = branches_of((-2.0, -5.0, 0.3), (0.5, 2.0, 0.45), (3.0, 7.5, 0.25))
         prior = dn.assemble_prior(branches, grid)
-        target = float(branches.mass @ branches.end_state)
+        starts, velocity, mass = expanded(branches)
+        target = float(mass @ (starts + velocity))
         sigma = dn.mollification_sigma(grid, 0.0, 1.5)
         assert abs(dn.mean(prior) - target) <= 2.0 * sigma
 
@@ -548,13 +629,13 @@ class TestAssemblePrior:
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
 
-    def test_matches_per_branch_expm_over_several_chunks(self):
-        # 20 x 16 = 320 branches on a small grid: more than one batch
+    def test_matches_per_branch_expm_on_many_branches(self):
+        # 20 x 16 = 320 branches on a small grid
         posterior = gaussian_density(wide_grid(32, 8.0), 0.0, 1.0)
         noise = gaussian_quantile_points(16, 1.0)
         model = linear_model(0.9)
         branches = dn.make_branches(posterior, noise, model, 1, 20)
-        assert len(branches) > dn._BRANCH_CHUNK
+        assert len(branches) == 320
         domain = dn.prediction_domain(branches, 47, 1.5, model.process_noise.std)
         grid = SpectralGrid.build(47, domain)
         prior = dn.assemble_prior(branches, grid)
@@ -567,22 +648,27 @@ class TestAssemblePrior:
             dn.assemble_prior(branches, grid)
 
     def test_escape_inside_a_start_group_stops_at_its_branch(self, monkeypatch):
-        # one bump per branch, in order, up to the first escape: the
-        # benchmark's traced bump count relies on it
+        # the noise points of one start are its group of branches; one bump
+        # per branch, in order, up to the first escape: the benchmark's
+        # traced bump count relies on it
         bumps = counting(monkeypatch, "mollified_delta")
         grid = wide_grid()
-        branches = branches_of(
-            (0.5, 1.0, 0.25), (0.5, 11.0, 0.25), (0.5, -11.0, 0.25), (0.5, 0.0, 0.25)
-        )
+        branches = product_of([0.5], [0.0], [0.5, 10.5, -11.5, -0.5])
         with pytest.raises(DomainEscapeError, match="branch 1 "):
             dn.assemble_prior(branches, grid)
         assert len(bumps) == 2
 
+    def test_escape_label_is_start_major(self, monkeypatch):
+        # branch s * P + p: only start 1 with noise point 1 escapes
+        bumps = counting(monkeypatch, "mollified_delta")
+        branches = product_of([-1.0, 1.0], [0.0, 3.0], [-1.0, 8.0])
+        with pytest.raises(DomainEscapeError, match="branch 3 "):
+            dn.assemble_prior(branches, wide_grid())
+        assert [args[1] for args in bumps] == [-1.0, -1.0, 1.0, 1.0]
+
     def test_one_bump_per_branch_without_escape(self, monkeypatch):
         bumps = counting(monkeypatch, "mollified_delta")
-        branches = branches_of(
-            (0.5, 1.0, 0.25), (0.5, 2.0, 0.25), (-1.0, -2.0, 0.25), (-1.0, 0.0, 0.25)
-        )
+        branches = product_of([0.5, -1.0], [1.0, -0.5], [-0.5, 0.5])
         dn.assemble_prior(branches, wide_grid())
         assert [args[1] for args in bumps] == [0.5, 0.5, -1.0, -1.0]
 
@@ -629,6 +715,17 @@ class TestAssemblePrior:
         reference = per_branch_prior(branches, grid)
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(branches=random_products())
+    @example(branches=product_of([0.7], [1.5], [-1.2, 0.0, 0.4, 2.0]))
+    @example(branches=product_of([-2.0, 0.3, 2.5], [1.0, -1.5, 0.5], [0.8]))
+    @example(branches=product_of([1.0, -1.0, 1.0, 1.0], [0.5, 1.0, -2.0, 0.5], [-1.0, 1.0]))
+    def test_random_products_equal_per_branch_expm(self, branches):
+        # S = 1, P = 1 and repeated starts are among the explicit examples
+        grid = wide_grid()
+        prior = dn.assemble_prior(branches, grid)
+        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()

@@ -393,6 +393,18 @@ class TestUkf:
         state = flt.ukf_step(flt.ukf_init(model), model, 1, 1.7)
         assert state.mean == pytest.approx(1.7, abs=1e-12)
 
+    def test_overflowing_moments_are_divergence(self):
+        # finite sigma points whose squared spread overflows
+        model = flt.ScalarStateModel(
+            transition=lambda x, k, v: 1e200 * x + v,
+            observation=lambda x, k: x,
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(0.0, 1.0),
+        )
+        with pytest.raises(FilterDivergenceError, match="step 2"):
+            flt.ukf_step(flt.ukf_init(model), model, 2, 0.3)
+
     def test_bad_spread_parameters_rejected(self):
         model = linear_model()
         with pytest.raises(ValueError, match="spread"):
@@ -507,3 +519,17 @@ class TestValidation:
     def test_gaussian_spec_rejects_non_finite_variance(self):
         with pytest.raises(ValueError, match="variance must be positive and finite"):
             flt.GaussianSpec(0.0, math.inf)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+    def test_pdef_config_rejects_bad_width_factor(self, width):
+        with pytest.raises(ValueError, match="width_factor must be positive and finite"):
+            flt.PdefConfig(width_factor=width)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_ukf_state_rejects_non_finite_mean(self, mean):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            flt.UkfState(mean, 1.0)
+
+    def test_ukf_state_rejects_infinite_variance(self):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            flt.UkfState(0.0, math.inf)
