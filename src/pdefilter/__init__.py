@@ -22,7 +22,6 @@ from .filters import (
     PdefState,
     PfState,
     ScalarStateModel,
-    UkfParams,
     UkfState,
     estimate,
     gaussian_likelihood,
@@ -65,7 +64,6 @@ __all__ = [
     "SingularMatrixError",
     "SpectralGrid",
     "TrajectoryRecord",
-    "UkfParams",
     "UkfState",
     "WeightUnderflowError",
     "advect_step",

@@ -98,6 +98,9 @@ class ExperimentConfig:
         for attr in ("steps", "runs", "particles", "noise_points"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
+        # numpy's SeedSequence takes non-negative entropy only
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the density filter's configuration, built here so that the CLI
         # reports its bounds as a usage error before any run starts
         pdef = f.PdefConfig(grid_nodes=self.grid_nodes, state_quantiles=self.state_quantiles)
@@ -112,7 +115,6 @@ class RmseReport:
     steps: int
     rmse_by_run: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
-    config_echo: str = ""
 
     @property
     def per_run(self) -> list:
@@ -125,10 +127,6 @@ class RmseReport:
     @property
     def runs_failed(self) -> int:
         return len(self.failures)
-
-    @property
-    def run_count(self) -> int:
-        return self.runs_ok + self.runs_failed
 
     @property
     def mean_rmse(self) -> float:
@@ -193,9 +191,7 @@ def _step_estimates(name, cfg, model, noise, observations, pf_rng):
         raise ValueError(f"unknown filter {name!r}")
 
 
-def run_experiment(
-    cfg: ExperimentConfig, config_echo: str = "", model=None
-) -> list:
+def run_experiment(cfg: ExperimentConfig, model=None) -> list:
     """Run the benchmark for every requested filter over ``cfg.runs`` runs.
 
     Every filter in a run consumes the identical observation sequence.  A
@@ -209,10 +205,7 @@ def run_experiment(
     noise = f.gaussian_quantile_points(
         cfg.noise_points, model.process_noise.variance
     )
-    reports = {
-        name: RmseReport(name, cfg.steps, config_echo=config_echo)
-        for name in cfg.filters
-    }
+    reports = {name: RmseReport(name, cfg.steps) for name in cfg.filters}
     for run in range(cfg.runs):
         truth_rng, pf_rng = run_seed_streams(cfg.seed, run)
         truth, observations = simulate_truth(model, cfg.steps, truth_rng)
@@ -228,9 +221,7 @@ def run_experiment(
     return [reports[name] for name in cfg.filters]
 
 
-def run_trajectory(
-    cfg: ExperimentConfig, config_echo: str = "", model=None
-) -> list:
+def run_trajectory(cfg: ExperimentConfig, model=None) -> list:
     """Single seeded run, recording per-step estimates for every filter.
 
     A filter that fails mid-run keeps its completed estimates; the failing

@@ -91,15 +91,6 @@ def cc_weights(order: int) -> np.ndarray:
     return _cc_weights_cached(_checked_order(order))
 
 
-def barycentric_weights(order: int) -> np.ndarray:
-    """Barycentric interpolation weights for the Gauss-Lobatto nodes.
-
-    The classical pattern (-1)^j, halved at both endpoints (any common
-    scaling cancels in the barycentric quotient).  Cached, read-only.
-    """
-    return _barycentric_weights_cached(_checked_order(order))
-
-
 @dataclass(frozen=True)
 class SpectralGrid:
     """A Gauss-Lobatto collocation grid mapped onto a physical interval.
@@ -180,7 +171,7 @@ def barycentric_matrix(order: int, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     diff = xi[:, None] - _reference_nodes(order)[None, :]
     hit = np.abs(diff) < 1e-15
-    kernel = _barycentric_weights_cached(order)[None, :] / np.where(hit, 1.0, diff)
+    kernel = _bary_weights(order)[None, :] / np.where(hit, 1.0, diff)
     kernel /= kernel.sum(axis=1, keepdims=True)
     rows, cols = np.nonzero(hit)
     kernel[rows] = 0.0
@@ -210,7 +201,7 @@ def _reference_nodes(order: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _diff_matrix_cached(order: int) -> np.ndarray:
     x = _reference_nodes(order)
-    lam = _barycentric_weights_cached(order)
+    lam = _bary_weights(order)
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     d = (lam[None, :] / lam[:, None]) / diff
@@ -235,7 +226,10 @@ def _cc_weights_cached(order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _barycentric_weights_cached(order: int) -> np.ndarray:
+def _bary_weights(order: int) -> np.ndarray:
+    """Barycentric interpolation weights for the Gauss-Lobatto nodes: the
+    classical pattern (-1)^j, halved at both endpoints (any common scaling
+    cancels in the barycentric quotient)."""
     lam = (-1.0) ** np.arange(order + 1)
     lam[0] *= 0.5
     lam[-1] *= 0.5

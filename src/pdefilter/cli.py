@@ -131,7 +131,7 @@ def main(argv=None) -> int:
     echo = _config_echo(args)
 
     if args.command == "run":
-        reports = bench.run_experiment(cfg, echo)
+        reports = bench.run_experiment(cfg)
         bench.write_summary_csv(args.out, reports, echo)
         bench.write_runs_csv(f"{args.out}.runs.csv", reports, echo)
         for report in reports:
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
             return 2
         return 0
 
-    records = bench.run_trajectory(cfg, echo)
+    records = bench.run_trajectory(cfg)
     bench.write_trajectory_csv(args.out, records, echo)
     produced = {
         name

@@ -59,8 +59,11 @@ _MASS_FLOOR = 1e-300
 # branch masses must sum to one this tightly before a prediction step
 _MASS_SUM_TOL = 1e-9
 
-# mollified_delta's last result: (grid, center, width_factor, bump)
-_last_bump = (None, None, None, None)
+# standard deviation of a mollified delta, in mean node gaps next to its center
+_BUMP_WIDTH = 1.5
+
+# mollified_delta's last result: (grid, center, bump)
+_last_bump = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -168,18 +171,16 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
     return float(a.grid.physical_weights @ np.abs(a.values - b.values))
 
 
-def mollified_delta(
-    grid: SpectralGrid, center: float, width_factor: float = 1.5
-) -> GridDensity:
+def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     """A unit-mass Gaussian bump standing in for a point mass at *center*.
 
-    The standard deviation is ``width_factor`` times the mean node spacing
-    adjacent to *center*, so the bump stays resolvable wherever it is placed.
+    The standard deviation is 1.5 times the mean node spacing adjacent to
+    *center*, so the bump stays resolvable wherever it is placed.
 
     The last bump built is cached: a call on the same grid object with an
-    equal *center* and *width_factor* returns that same bump without
-    rebuilding it, so :func:`assemble_prior`'s one call per branch builds
-    one bump per start group.  The returned bump may therefore be shared;
+    equal *center* returns that same bump without rebuilding it, so
+    :func:`assemble_prior`'s one call per branch builds one bump per start
+    group.  The returned bump may therefore be shared;
     like every :class:`GridDensity` it is read-only.  The traced
     ``density.mollified_delta.calls`` counts calls, not builds.
     """
@@ -187,42 +188,36 @@ def mollified_delta(
     center = float(center)
     # read the entry once and replace it whole, so a concurrent caller never
     # sees a torn entry; a lost replacement only costs a rebuild
-    cached_grid, cached_center, cached_width, cached = _last_bump
-    if grid is cached_grid and center == cached_center and width_factor == cached_width:
+    cached_grid, cached_center, cached = _last_bump
+    if grid is cached_grid and center == cached_center:
         return cached
     if not grid.domain.lo < center < grid.domain.hi:
         raise ValueError(
             f"delta center {center} not strictly inside "
             f"[{grid.domain.lo}, {grid.domain.hi}]"
         )
-    if not width_factor > 0.0:
-        raise ValueError(f"width_factor must be positive, got {width_factor}")
-    sigma = mollification_sigma(grid, center, width_factor)
+    sigma = mollification_sigma(grid, center)
     values = np.exp(-0.5 * ((grid.nodes - center) / sigma) ** 2)
     values /= grid.physical_weights @ values
     bump = GridDensity(grid, values)
-    _last_bump = (grid, center, width_factor, bump)
+    _last_bump = (grid, center, bump)
     return bump
 
 
-def mollification_sigma(grid: SpectralGrid, center: float, width_factor: float) -> float:
-    """Bump width used by :func:`mollified_delta` at this location: the mean
-    of the one or two node gaps next to the node nearest *center*."""
+def mollification_sigma(grid: SpectralGrid, center: float) -> float:
+    """Bump width used by :func:`mollified_delta` at this location: 1.5
+    times the mean of the one or two node gaps next to the node nearest
+    *center*."""
     nodes = grid.nodes
     j = int(np.argmin(np.abs(nodes - center)))
     adjacent = [float(nodes[i + 1] - nodes[i]) for i in (j - 1, j) if 0 <= i < grid.order]
-    return width_factor * (sum(adjacent) / len(adjacent))
+    return _BUMP_WIDTH * (sum(adjacent) / len(adjacent))
 
 
-def advect_step(
-    density: GridDensity,
-    velocity: float,
-    dt: float = 1.0,
-    label: str | None = None,
-) -> GridDensity:
-    """Transport a density at constant velocity for *dt* pseudo-time units.
+def advect_step(density: GridDensity, velocity: float) -> GridDensity:
+    """Transport a density at constant velocity for one pseudo-time unit.
 
-    Returns ``expm(dt L)`` applied to the nodal values, with the periodic
+    Returns ``expm(L)`` applied to the nodal values, with the periodic
     endpoint identification folded into L and any negative ringing clipped
     to zero.  The propagator is the cached spectral one that
     :func:`assemble_prior` uses.  The result is *not* renormalized; callers
@@ -231,18 +226,15 @@ def advect_step(
     Raises
     ------
     DomainEscapeError
-        If the shifted support would come within two nominal node spacings
-        of either boundary; *label* (e.g. a branch name) is included so the
-        caller can widen its domain selection.
+        If more than 1e-6 of the mass would come within two nominal node
+        spacings of either boundary.
     """
     velocity = float(velocity)
     if not np.isfinite(velocity):
         raise ValueError("velocity must be finite")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     grid = density.grid
-    _check_shifted_support(grid, density.values, velocity * dt, label)
-    shift = velocity * dt * affine_scale(grid.domain)
+    _check_shifted_support(grid, density.values, velocity)
+    shift = velocity * affine_scale(grid.domain)
     moved = _transport(grid.order, _fold(density.values)[None, :], [shift], [1.0])
     return GridDensity(grid, np.clip(_unfold(moved), 0.0, None))
 
@@ -265,6 +257,30 @@ def folded_generator(grid: SpectralGrid, velocity: float) -> np.ndarray:
     return folded
 
 
+def model_output(name: str, value, shape: tuple, k: int):
+    """A model function's output, checked: a float for ``shape == ()``,
+    otherwise a float array broadcast to *shape* (so a model that ignores
+    its input may return a scalar).
+
+    Raises
+    ------
+    FilterDivergenceError
+        If any value is NaN or infinite; the message names the model
+        function and the step.
+    """
+    if shape == ():
+        out = float(value)
+        finite = math.isfinite(out)
+    else:
+        out = np.broadcast_to(np.asarray(value, dtype=float), shape)
+        finite = bool(np.isfinite(out).all())
+    if not finite:
+        raise FilterDivergenceError(
+            f"model {name} returned a non-finite value at step {k}"
+        )
+    return out
+
+
 def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:
     """Decompose a posterior into transported branches for one prediction.
 
@@ -282,10 +298,6 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
         If the posterior has no mass or the transition returns a non-finite
         value.
     """
-    # filters imports this module, so its model-output check is imported
-    # at call time
-    from .filters import model_output
-
     if state_points < 1:
         raise ValueError(f"state_points must be >= 1, got {state_points}")
     if np.size(noise.points) == 0:
@@ -328,11 +340,7 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
 
 
 def prediction_domain(
-    branches: Branches,
-    order: int,
-    width_factor: float,
-    process_std: float,
-    margin_scale: float = 1.0,
+    branches: Branches, order: int, process_std: float, margin_scale: float = 1.0
 ) -> Interval:
     """Pick the grid interval for the next prediction step.
 
@@ -347,16 +355,12 @@ def prediction_domain(
     ends = branches.start_state + branches.drift
     lo = min(branches.start_state.min(), ends.min() + branches.noise_value.min())
     hi = max(branches.start_state.max(), ends.max() + branches.noise_value.max())
-    sigma_est = width_factor * (hi - lo) / order
+    sigma_est = _BUMP_WIDTH * (hi - lo) / order
     margin = 4.0 * (process_std + sigma_est) * margin_scale
     return Interval(lo - margin, hi + margin)
 
 
-def assemble_prior(
-    branches: Branches,
-    grid_next: SpectralGrid,
-    width_factor: float = 1.5,
-) -> GridDensity:
+def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
     """Sum the transported branch bumps into the prior for the next step.
 
     Each branch contributes a mass-weighted mollified delta placed at its
@@ -389,7 +393,7 @@ def assemble_prior(
             # one call per branch, in order: the traced bump count of the
             # benchmark pins it (ROADMAP item 1); a start's first call builds
             # its bump, the rest hit the cache
-            bump = mollified_delta(grid_next, start, width_factor)
+            bump = mollified_delta(grid_next, start)
             if p == 0:
                 bumps.append(bump.values)
                 lo, hi = _support_range(grid_next, bump.values)
@@ -502,7 +506,7 @@ def _support_range(grid, values):
     return float(occupied.min()), float(occupied.max())
 
 
-def _check_shifted_support(grid, values, shift, label):
+def _check_shifted_support(grid, values, shift, label=None):
     lo_bound, hi_bound = _margin_bounds(grid)
     support = _support_range(grid, values)
     if support[0] + shift >= lo_bound and support[1] + shift <= hi_bound:

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from . import density as density_mod
 from .chebyshev import Interval, SpectralGrid
-from .density import GridDensity, assemble_prior, make_branches, prediction_domain
+from .density import GridDensity, assemble_prior, make_branches, model_output, prediction_domain
 from .errors import DomainEscapeError, FilterDivergenceError, WeightUnderflowError
 
 
@@ -62,6 +62,11 @@ class ScalarStateModel:
     on ``transition(x, k, v) == transition(x, k, 0.0) + v``, calling the
     transition once with ``v = 0.0`` and adding its noise points.  The
     particle and unscented filters do not rely on it.  It is not checked.
+
+    Both noises are zero-mean: every filter and the truth simulation draw
+    or score them about zero, so a nonzero ``process_noise.mean`` or
+    ``obs_noise.mean`` is rejected (fold an offset into the transition or
+    the observation instead).  ``initial.mean`` may be anything.
     """
 
     transition: callable
@@ -69,6 +74,13 @@ class ScalarStateModel:
     process_noise: GaussianSpec
     obs_noise: GaussianSpec
     initial: GaussianSpec
+
+    def __post_init__(self):
+        for name in ("process_noise", "obs_noise"):
+            if getattr(self, name).mean != 0.0:
+                raise ValueError(
+                    f"{name}.mean must be 0, got {getattr(self, name).mean}"
+                )
 
 
 @dataclass(frozen=True)
@@ -151,14 +163,14 @@ class PdefConfig:
     """Tunables of the density-evolution filter.
 
     ``grid_nodes`` is the node count of the spectral grid (the polynomial
-    order is one less), ``state_quantiles`` the number of equal-probability
-    posterior points entering each prediction and ``width_factor`` the
-    mollification width in node spacings.
+    order is one less) and ``state_quantiles`` the number of
+    equal-probability posterior points entering each prediction.  The
+    mollification width is fixed at 1.5 node spacings
+    (:func:`~pdefilter.density.mollified_delta`).
     """
 
     grid_nodes: int = 100
     state_quantiles: int = 16
-    width_factor: float = 1.5
 
     def __post_init__(self):
         if self.grid_nodes < 4:
@@ -167,19 +179,6 @@ class PdefConfig:
             raise ValueError(
                 f"state_quantiles must be >= 1, got {self.state_quantiles}"
             )
-        if not (self.width_factor > 0.0 and math.isfinite(self.width_factor)):
-            raise ValueError(
-                f"width_factor must be positive and finite, got {self.width_factor}"
-            )
-
-
-@dataclass(frozen=True)
-class UkfParams:
-    """Spread parameters of the unscented transform."""
-
-    alpha: float = 1.0
-    beta: float = 0.0
-    kappa: float = 2.0
 
 
 def gaussian_quantile_points(n: int, variance: float) -> NoiseQuantization:
@@ -209,30 +208,6 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
         2.0 * math.pi * obs_variance
     )
     return float(out) if np.ndim(out) == 0 else out
-
-
-def model_output(name: str, value, shape: tuple, k: int):
-    """A model function's output, checked: a float for ``shape == ()``,
-    otherwise a float array broadcast to *shape* (so a model that ignores
-    its input may return a scalar).
-
-    Raises
-    ------
-    FilterDivergenceError
-        If any value is NaN or infinite; the message names the model
-        function and the step.
-    """
-    if shape == ():
-        out = float(value)
-        finite = math.isfinite(out)
-    else:
-        out = np.broadcast_to(np.asarray(value, dtype=float), shape)
-        finite = bool(np.isfinite(out).all())
-    if not finite:
-        raise FilterDivergenceError(
-            f"model {name} returned a non-finite value at step {k}"
-        )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -292,15 +267,11 @@ def pdef_step(
     margin_scale = 1.0
     for attempt in range(6):
         domain = prediction_domain(
-            branches,
-            cfg.grid_nodes - 1,
-            cfg.width_factor,
-            model.process_noise.std,
-            margin_scale,
+            branches, cfg.grid_nodes - 1, model.process_noise.std, margin_scale
         )
         grid = SpectralGrid.build(cfg.grid_nodes - 1, domain)
         try:
-            prior = assemble_prior(branches, grid, cfg.width_factor)
+            prior = assemble_prior(branches, grid)
             break
         except DomainEscapeError:
             if attempt == 5:
@@ -393,17 +364,16 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
 # unscented Kalman filter
 # --------------------------------------------------------------------------
 
+# n + lambda and the sigma-point weights for alpha = 1, beta = 0, kappa = 2
+# on the augmented dimension n = 2 (see ukf_step)
+_UKF_SPREAD = 4.0
+_UKF_WEIGHTS = (0.5, 0.125, 0.125, 0.125, 0.125)
+
 def ukf_init(model: ScalarStateModel) -> UkfState:
     return UkfState(model.initial.mean, model.initial.variance)
 
 
-def ukf_step(
-    state: UkfState,
-    model: ScalarStateModel,
-    k: int,
-    y_k: float,
-    params: UkfParams = UkfParams(),
-) -> UkfState:
+def ukf_step(state: UkfState, model: ScalarStateModel, k: int, y_k: float) -> UkfState:
     """Scalar unscented Kalman step, augmented-state form.
 
     The sigma set spans state and process noise jointly (five points for the
@@ -412,30 +382,25 @@ def ukf_step(
     on a linear model this reproduces the Kalman recursion exactly.  The
     observation noise is additive, entering the innovation variance as R.
 
+    The spread parameters are fixed at alpha = 1, beta = 0, kappa = 2.  With
+    n = 2, lambda = alpha^2 (n + kappa) - n = 2, so the points sit
+    ``sqrt(n + lambda) = 2`` standard deviations out; the center weight
+    lambda / (n + lambda) = 1/2 and side weights 1 / (2 (n + lambda)) = 1/8
+    serve for both mean and covariance, since 1 - alpha^2 + beta = 0.  No
+    weight is negative, so the innovation variance is at least R.
+
     The five-point arithmetic runs on Python floats, with one scalar model
     call per sigma point: at this size numpy arrays cost more than the
     arithmetic itself.
 
     Raises
     ------
-    ValueError
-        If the predicted innovation variance is not positive (possible only
-        for parameter choices with negative center weight).
     FilterDivergenceError
-        If the model returns a non-finite value.
+        If the model returns a non-finite value or the moments overflow.
     """
-    n_aug = 2.0
-    lam = params.alpha ** 2 * (n_aug + params.kappa) - n_aug
-    if not n_aug + lam > 0.0:
-        raise ValueError("sigma-point spread (n + lambda) must be positive")
-    w_side = 0.5 / (n_aug + lam)
-    w_center = lam / (n_aug + lam)
-    w_mean = (w_center, w_side, w_side, w_side, w_side)
-    w_cov = (w_center + (1.0 - params.alpha ** 2 + params.beta),) + w_mean[1:]
-
     m, var = state.mean, state.variance
-    spread_x = math.sqrt((n_aug + lam) * var)
-    spread_v = math.sqrt((n_aug + lam) * model.process_noise.variance)
+    spread_x = math.sqrt(_UKF_SPREAD * var)
+    spread_v = math.sqrt(_UKF_SPREAD * model.process_noise.variance)
     points = (m, m + spread_x, m - spread_x, m, m)
     noises = (0.0, 0.0, 0.0, spread_v, -spread_v)
     moved = [
@@ -445,17 +410,13 @@ def ukf_step(
     predicted = [
         model_output("observation", model.observation(x, k), (), k) for x in moved
     ]
-    mean_pred = _weighted_sum(w_mean, moved)
-    y_mean = _weighted_sum(w_mean, predicted)
+    mean_pred = _weighted_sum(_UKF_WEIGHTS, moved)
+    y_mean = _weighted_sum(_UKF_WEIGHTS, predicted)
     dx = [x - mean_pred for x in moved]
     dy = [y - y_mean for y in predicted]
-    var_pred = _weighted_sum(w_cov, [d * d for d in dx])
-    innovation_var = _weighted_sum(w_cov, [d * d for d in dy]) + model.obs_noise.variance
-    if not innovation_var > 0.0:
-        raise ValueError(
-            f"non-positive predicted innovation variance {innovation_var}"
-        )
-    cross = _weighted_sum(w_cov, [a * b for a, b in zip(dx, dy)])
+    var_pred = _weighted_sum(_UKF_WEIGHTS, [d * d for d in dx])
+    innovation_var = _weighted_sum(_UKF_WEIGHTS, [d * d for d in dy]) + model.obs_noise.variance
+    cross = _weighted_sum(_UKF_WEIGHTS, [a * b for a, b in zip(dx, dy)])
     gain = cross / innovation_var
     mean_post = mean_pred + gain * (float(y_k) - y_mean)
     var_post = max(var_pred - gain * gain * innovation_var, 1e-12)

@@ -243,7 +243,7 @@ def test_criterion_06_prior_prediction_mc():
     )
     noise = flt.gaussian_quantile_points(16, model.process_noise.variance)
     branches = dn.make_branches(posterior, noise, model, 1, 16)
-    domain = dn.prediction_domain(branches, 99, 1.5, model.process_noise.std)
+    domain = dn.prediction_domain(branches, 99, model.process_noise.std)
     grid = SpectralGrid.build(99, domain)
     prior = dn.assemble_prior(branches, grid)
 
@@ -323,8 +323,8 @@ def test_criterion_08_bayes_update_properties():
     noise = flt.gaussian_quantile_points(16, 1.0)
     state = flt.pdef_init(model, cfg)
     branches = dn.make_branches(state.posterior, noise, model, 1, 16)
-    domain = dn.prediction_domain(branches, 99, 1.5, 1.0)
-    prior = dn.assemble_prior(branches, SpectralGrid.build(99, domain), 1.5)
+    domain = dn.prediction_domain(branches, 99, 1.0)
+    prior = dn.assemble_prior(branches, SpectralGrid.build(99, domain))
     stepped = flt.pdef_step(state, model, noise, 1, 0.3, cfg)
     flat_lik_l1 = dn.l1_distance(stepped.posterior, prior)
 

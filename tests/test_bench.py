@@ -171,6 +171,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise later, mid-experiment
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+        assert ExperimentConfig(seed=0).seed == 0
+
     def test_builds_the_pdef_config_it_runs_with(self, monkeypatch):
         cfg = ExperimentConfig(steps=2, runs=1, filters=("pdef",), grid_nodes=40, state_quantiles=6)
         assert cfg.pdef == flt.PdefConfig(grid_nodes=40, state_quantiles=6)
@@ -203,7 +209,6 @@ class TestReportAccounting:
         report.failures.append((1, "weight underflow"))
         assert report.runs_ok == 2
         assert report.runs_failed == 1
-        assert report.run_count == 3
         assert report.mean_rmse == pytest.approx(5.0)
         assert report.per_run == [4.0, 6.0]
 
@@ -278,7 +283,7 @@ class TestRunTrajectory:
 
 class TestCsvOutput:
     def sample_reports(self):
-        report = RmseReport("pf", steps=10, config_echo="seed=1")
+        report = RmseReport("pf", steps=10)
         report.rmse_by_run[0] = 4.756312
         report.rmse_by_run[1] = 5.25
         report.failures.append((2, "weight underflow"))

@@ -126,3 +126,12 @@ class TestExitCodes:
         assert cli.main(run_args(out, grid=grid)) == 1
         assert "pdefilter: error: grid_nodes must be >= 4" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "trajectory"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--seed", "-1", "--steps", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "pdefilter: error: seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()

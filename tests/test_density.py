@@ -46,13 +46,13 @@ def expanded(branches):
     return starts, velocity, mass
 
 
-def expm_prior(branches, grid, width_factor=1.5):
+def expm_prior(branches, grid):
     """Reference prior: one linalg.expm of the folded generator per branch,
     applied to the folded bump, summed, clipped once and normalized."""
     n = grid.order
     accum = np.zeros(n)
     for start, velocity, mass in zip(*expanded(branches)):
-        bump = dn.mollified_delta(grid, start, width_factor).values
+        bump = dn.mollified_delta(grid, start).values
         folded = np.concatenate([[0.5 * (bump[0] + bump[n])], bump[1:n]])
         propagator = linalg.expm(dn.folded_generator(grid, velocity))
         accum += mass * (propagator @ folded)
@@ -60,14 +60,14 @@ def expm_prior(branches, grid, width_factor=1.5):
     return dn.normalize(dn.GridDensity(grid, values))
 
 
-def per_branch_prior(branches, grid, width_factor=1.5):
+def per_branch_prior(branches, grid):
     """Reference prior without the product: per branch one bump, one support
     check and one projected row, all S x P rows transported by their own
     velocity in a single batch with no noise factor."""
     starts, velocity, mass = expanded(branches)
     bumps = []
     for i, (start, v) in enumerate(zip(starts, velocity)):
-        bump = dn.mollified_delta(grid, start, width_factor).values
+        bump = dn.mollified_delta(grid, start).values
         dn._check_shifted_support(grid, bump, v, f"branch {i}")
         bumps.append(bump)
     accum = dn._transport(
@@ -80,13 +80,13 @@ def per_branch_prior(branches, grid, width_factor=1.5):
     return dn.normalize(dn.GridDensity(grid, values))
 
 
-def fresh_bump(grid, center, width_factor=1.5):
+def fresh_bump(grid, center):
     """``mollified_delta`` built from an emptied cache; the cache entry is
     put back afterwards."""
     saved = dn._last_bump
-    dn._last_bump = (None, None, None, None)
+    dn._last_bump = (None, None, None)
     try:
-        return dn.mollified_delta(grid, center, width_factor)
+        return dn.mollified_delta(grid, center)
     finally:
         dn._last_bump = saved
 
@@ -151,7 +151,7 @@ def prediction_step(case):
         posterior = gaussian_density(wide_grid(99, 18.0), 0.0, 5.0)
     noise = gaussian_quantile_points(quantiles, model.process_noise.variance)
     branches = dn.make_branches(posterior, noise, model, 1, quantiles)
-    domain = dn.prediction_domain(branches, order, 1.5, model.process_noise.std)
+    domain = dn.prediction_domain(branches, order, model.process_noise.std)
     return branches, SpectralGrid.build(order, domain)
 
 
@@ -199,7 +199,7 @@ class TestMollifiedDelta:
     def test_first_moment_near_center(self):
         grid = wide_grid()
         center = 0.8
-        sigma = dn.mollification_sigma(grid, center, 1.5)
+        sigma = dn.mollification_sigma(grid, center)
         bump = dn.mollified_delta(grid, center)
         assert abs(dn.mean(bump) - center) <= sigma / 10.0
 
@@ -207,30 +207,22 @@ class TestMollifiedDelta:
         with pytest.raises(ValueError, match="inside"):
             dn.mollified_delta(wide_grid(), 13.5)
 
-    def test_nonpositive_width_rejected(self):
-        with pytest.raises(ValueError, match="width_factor"):
-            dn.mollified_delta(wide_grid(), 0.0, width_factor=0.0)
-
     def test_repeat_call_returns_the_same_bump(self, monkeypatch):
         grid = wide_grid()
         first = dn.mollified_delta(grid, 0.8)
         builds = counting(monkeypatch, "mollification_sigma")
         assert dn.mollified_delta(grid, 0.8) is first
-        assert dn.mollified_delta(grid, 0.8, 1.5) is first
+        assert dn.mollified_delta(grid, np.float64(0.8)) is first
         assert builds == []
         assert not first.values.flags.writeable
 
-    @pytest.mark.parametrize("changed", ["grid", "center", "width_factor"])
+    @pytest.mark.parametrize("changed", ["grid", "center"])
     def test_changed_argument_rebuilds_bit_equal(self, monkeypatch, changed):
         # a new grid object with an equal domain is a different grid to the
         # cache: it compares grids by identity
         grid = wide_grid()
-        first = dn.mollified_delta(grid, 0.8, 1.5)
-        args = {
-            "grid": (wide_grid(), 0.8, 1.5),
-            "center": (grid, 0.9, 1.5),
-            "width_factor": (grid, 0.8, 2.0),
-        }[changed]
+        first = dn.mollified_delta(grid, 0.8)
+        args = {"grid": (wide_grid(), 0.8), "center": (grid, 0.9)}[changed]
         builds = counting(monkeypatch, "mollification_sigma")
         bump = dn.mollified_delta(*args)
         assert bump is not first and len(builds) == 1
@@ -251,7 +243,6 @@ class TestMollifiedDelta:
             st.tuples(
                 st.integers(0, 2),
                 st.sampled_from([-2.0, 0.0, 0.8]) | st.floats(-8.9, 8.9),
-                st.sampled_from([1.0, 1.5, 2.0]),
             ),
             min_size=1,
             max_size=25,
@@ -260,9 +251,9 @@ class TestMollifiedDelta:
     def test_any_call_sequence_equals_fresh_builds(self, calls):
         # grids 0 and 1 have equal domains, grid 2 another order and domain
         grids = (wide_grid(), wide_grid(), wide_grid(47, 9.0))
-        for g, center, width_factor in calls:
-            bump = dn.mollified_delta(grids[g], center, width_factor)
-            expected = fresh_bump(grids[g], center, width_factor)
+        for g, center in calls:
+            bump = dn.mollified_delta(grids[g], center)
+            expected = fresh_bump(grids[g], center)
             assert bump.grid is grids[g]
             assert bump.values.tobytes() == expected.values.tobytes()
 
@@ -300,10 +291,10 @@ class TestMollifiedDelta:
     def test_sigma_equals_mean_of_all_gaps_formula(self, order):
         # the width once took np.diff over the whole grid and the mean of
         # the adjacent slice; the two-gap form must agree bit for bit
-        def full_diff_sigma(grid, center, width_factor):
+        def full_diff_sigma(grid, center):
             gaps = np.diff(grid.nodes)
             j = int(np.argmin(np.abs(grid.nodes - center)))
-            return width_factor * float(gaps[max(j - 1, 0): j + 1].mean())
+            return 1.5 * float(gaps[max(j - 1, 0): j + 1].mean())
 
         grid = SpectralGrid.build(order, Interval(-7.3, 19.1))
         rng = np.random.default_rng(order)
@@ -311,7 +302,7 @@ class TestMollifiedDelta:
             [rng.uniform(-7.3, 19.1, 2000), grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1])]
         )
         for center in centers:
-            assert dn.mollification_sigma(grid, center, 1.5) == full_diff_sigma(grid, center, 1.5)
+            assert dn.mollification_sigma(grid, center) == full_diff_sigma(grid, center)
 
 
 class TestAdvectStep:
@@ -345,19 +336,7 @@ class TestAdvectStep:
         grid = wide_grid()
         start = gaussian_density(grid, 3.0, 1.0)
         with pytest.raises(DomainEscapeError, match="widen the domain"):
-            dn.advect_step(start, 8.0, label="branch 7")
-
-    def test_escape_error_names_branch(self):
-        grid = wide_grid()
-        start = gaussian_density(grid, 3.0, 1.0)
-        with pytest.raises(DomainEscapeError, match="branch 7"):
-            dn.advect_step(start, 8.0, label="branch 7")
-
-    def test_bad_dt_rejected(self):
-        grid = wide_grid()
-        start = gaussian_density(grid, 0.0, 1.0)
-        with pytest.raises(ValueError, match="dt"):
-            dn.advect_step(start, 1.0, dt=0.0)
+            dn.advect_step(start, 8.0)
 
     def test_nonfinite_velocity_rejected(self):
         grid = wide_grid()
@@ -614,7 +593,7 @@ class TestAssemblePrior:
         prior = dn.assemble_prior(branches, grid)
         starts, velocity, mass = expanded(branches)
         target = float(mass @ (starts + velocity))
-        sigma = dn.mollification_sigma(grid, 0.0, 1.5)
+        sigma = dn.mollification_sigma(grid, 0.0)
         assert abs(dn.mean(prior) - target) <= 2.0 * sigma
 
     def test_matches_per_branch_expm_on_benchmark_step(self):
@@ -624,7 +603,7 @@ class TestAssemblePrior:
         posterior = gaussian_density(start_grid, 0.0, 5.0)
         noise = gaussian_quantile_points(16, model.process_noise.variance)
         branches = dn.make_branches(posterior, noise, model, 1, 16)
-        domain = dn.prediction_domain(branches, 99, 1.5, model.process_noise.std)
+        domain = dn.prediction_domain(branches, 99, model.process_noise.std)
         grid = SpectralGrid.build(99, domain)
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
@@ -636,7 +615,7 @@ class TestAssemblePrior:
         model = linear_model(0.9)
         branches = dn.make_branches(posterior, noise, model, 1, 20)
         assert len(branches) == 320
-        domain = dn.prediction_domain(branches, 47, 1.5, model.process_noise.std)
+        domain = dn.prediction_domain(branches, 47, model.process_noise.std)
         grid = SpectralGrid.build(47, domain)
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
@@ -677,7 +656,7 @@ class TestAssemblePrior:
         # of a bump width, but the mass beyond it is far below 1e-6
         grid = wide_grid()
         bump = dn.mollified_delta(grid, 0.0).values
-        sigma = dn.mollification_sigma(grid, 0.0, 1.5)
+        sigma = dn.mollification_sigma(grid, 0.0)
         hi_bound = dn._margin_bounds(grid)[1]
         shift = hi_bound - dn._support_range(grid, bump)[1] + 0.25 * sigma
         outside = grid.nodes + shift > hi_bound
@@ -751,7 +730,7 @@ class TestMoments:
     def test_delta_mean_within_tenth_sigma(self):
         grid = wide_grid()
         center = -4.3
-        sigma = dn.mollification_sigma(grid, center, 1.5)
+        sigma = dn.mollification_sigma(grid, center)
         bump = dn.mollified_delta(grid, center)
         assert abs(dn.mean(bump) - center) <= sigma / 10.0
 

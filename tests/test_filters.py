@@ -161,9 +161,9 @@ class TestPdefStep:
         noise = flt.gaussian_quantile_points(12, model.process_noise.variance)
         state = flt.pdef_init(model, cfg)
         branches = dn.make_branches(state.posterior, noise, model, 1, 12)
-        domain = dn.prediction_domain(branches, 79, 1.5, model.process_noise.std)
+        domain = dn.prediction_domain(branches, 79, model.process_noise.std)
         grid = SpectralGrid.build(79, domain)
-        prior = dn.assemble_prior(branches, grid, 1.5)
+        prior = dn.assemble_prior(branches, grid)
         stepped = flt.pdef_step(state, model, noise, 1, 0.5, cfg)
         assert dn.l1_distance(stepped.posterior, prior) <= 1e-6
 
@@ -205,8 +205,8 @@ class TestPdefStep:
         noise = flt.gaussian_quantile_points(8, model.process_noise.variance)
         state = flt.pdef_init(model, cfg)
         branches = dn.make_branches(state.posterior, noise, model, 1, 8)
-        domain = dn.prediction_domain(branches, 59, 1.5, model.process_noise.std)
-        prior = dn.assemble_prior(branches, SpectralGrid.build(59, domain), 1.5)
+        domain = dn.prediction_domain(branches, 59, model.process_noise.std)
+        prior = dn.assemble_prior(branches, SpectralGrid.build(59, domain))
         stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
         assert dn.l1_distance(stepped.posterior, prior) <= 1e-12
 
@@ -405,11 +405,6 @@ class TestUkf:
         with pytest.raises(FilterDivergenceError, match="step 2"):
             flt.ukf_step(flt.ukf_init(model), model, 2, 0.3)
 
-    def test_bad_spread_parameters_rejected(self):
-        model = linear_model()
-        with pytest.raises(ValueError, match="spread"):
-            flt.ukf_step(flt.ukf_init(model), model, 1, 0.0, flt.UkfParams(kappa=-3.0))
-
 
 class TestNonFiniteModelOutput:
     # one model function returns NaN or inf for part of its input; every
@@ -520,11 +515,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="variance must be positive and finite"):
             flt.GaussianSpec(0.0, math.inf)
 
-    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
-    def test_pdef_config_rejects_bad_width_factor(self, width):
-        with pytest.raises(ValueError, match="width_factor must be positive and finite"):
-            flt.PdefConfig(width_factor=width)
-
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
     def test_ukf_state_rejects_non_finite_mean(self, mean):
         with pytest.raises(ValueError, match="mean must be finite"):
@@ -533,3 +523,24 @@ class TestValidation:
     def test_ukf_state_rejects_infinite_variance(self):
         with pytest.raises(ValueError, match="variance must be positive and finite"):
             flt.UkfState(0.0, math.inf)
+
+    @pytest.mark.parametrize("field", ["process_noise", "obs_noise"])
+    @pytest.mark.parametrize("mean", [5.0, -1e-3])
+    def test_model_rejects_nonzero_noise_mean(self, field, mean):
+        # every filter and the truth simulation treat both noises as
+        # zero-mean, so an offset would be silently dropped
+        specs = {
+            "process_noise": flt.GaussianSpec(0.0, 1.0),
+            "obs_noise": flt.GaussianSpec(0.0, 1.0),
+            field: flt.GaussianSpec(mean, 1.0),
+        }
+        with pytest.raises(ValueError, match=f"{field}.mean must be 0"):
+            flt.ScalarStateModel(
+                transition=lambda x, k, v: x + v,
+                observation=lambda x, k: x,
+                initial=flt.GaussianSpec(0.0, 1.0),
+                **specs,
+            )
+
+    def test_model_accepts_nonzero_initial_mean(self):
+        assert linear_model(m0=5.0).initial.mean == 5.0
