@@ -77,10 +77,9 @@ class ScalarStateModel:
 
     def __post_init__(self):
         for name in ("process_noise", "obs_noise"):
-            if getattr(self, name).mean != 0.0:
-                raise ValueError(
-                    f"{name}.mean must be 0, got {getattr(self, name).mean}"
-                )
+            noise_mean = getattr(self, name).mean
+            if noise_mean != 0.0:
+                raise ValueError(f"{name}.mean must be 0, got {noise_mean}")
 
 
 @dataclass(frozen=True)
@@ -368,6 +367,7 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
 # on the augmented dimension n = 2 (see ukf_step)
 _UKF_SPREAD = 4.0
 _UKF_WEIGHTS = (0.5, 0.125, 0.125, 0.125, 0.125)
+
 
 def ukf_init(model: ScalarStateModel) -> UkfState:
     return UkfState(model.initial.mean, model.initial.variance)

@@ -212,7 +212,6 @@ class TestMollifiedDelta:
         first = dn.mollified_delta(grid, 0.8)
         builds = counting(monkeypatch, "mollification_sigma")
         assert dn.mollified_delta(grid, 0.8) is first
-        assert dn.mollified_delta(grid, np.float64(0.8)) is first
         assert builds == []
         assert not first.values.flags.writeable
 

@@ -541,6 +541,3 @@ class TestValidation:
                 initial=flt.GaussianSpec(0.0, 1.0),
                 **specs,
             )
-
-    def test_model_accepts_nonzero_initial_mean(self):
-        assert linear_model(m0=5.0).initial.mean == 5.0
