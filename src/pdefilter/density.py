@@ -62,13 +62,22 @@ _MASS_SUM_TOL = 1e-9
 # standard deviation of a mollified delta, in mean node gaps next to its center
 _BUMP_WIDTH = 1.5
 
+# smallest normal double; GridDensity stores smaller values as 0.0
+_TINY = float(np.finfo(float).tiny)
+
 # mollified_delta's last result: (grid, center, bump)
 _last_bump = (None, None, None)
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Nonnegative density values at the nodes of a spectral grid."""
+    """Nonnegative density values at the nodes of a spectral grid.
+
+    Values below the smallest normal double (``np.finfo(float).tiny``,
+    about 2.2e-308) are stored as 0.0.  Far tails underflow into subnormal
+    doubles, which add nothing a quadrature can see but send every matrix
+    product over the values down a slow path of the floating-point unit.
+    """
 
     grid: SpectralGrid
     values: np.ndarray
@@ -83,6 +92,7 @@ class GridDensity:
             raise ValueError("density values must be finite")
         if v.size and v.min() < 0.0:
             raise ValueError("density values must be nonnegative")
+        v[v < _TINY] = 0.0
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -183,6 +183,15 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="finite"):
             dn.GridDensity(wide_grid(8), values)
 
+    def test_subnormal_values_are_stored_as_zero(self):
+        tiny = np.finfo(float).tiny
+        values = np.ones(9)
+        values[[2, 5, 7]] = [tiny / 2.0, 5e-324, tiny]
+        density = dn.GridDensity(wide_grid(8), values)
+        assert density.values[2] == 0.0 and density.values[5] == 0.0
+        assert density.values[7] == tiny
+        np.testing.assert_array_equal(np.delete(density.values, [2, 5, 7]), 1.0)
+
 
 class TestMollifiedDelta:
     def test_unit_mass(self):

@@ -11,7 +11,11 @@ from pdefilter import density as dn
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, simulate_truth
 from pdefilter.chebyshev import Interval, SpectralGrid
-from pdefilter.errors import FilterDivergenceError, WeightUnderflowError
+from pdefilter.errors import (
+    DomainEscapeError,
+    FilterDivergenceError,
+    WeightUnderflowError,
+)
 
 from _oracles import gaussian_pdf, kalman_filter
 
@@ -95,6 +99,16 @@ class TestGaussianQuantilePoints:
             flt.gaussian_quantile_points(0, 1.0)
         with pytest.raises(ValueError):
             flt.gaussian_quantile_points(4, 0.0)
+
+    def test_within_8_ulps_of_scipy_ndtri(self):
+        # scipy is a test-only oracle; the package itself does not import it
+        from scipy.special import ndtri
+
+        for n in range(1, 257):
+            points = flt.gaussian_quantile_points(n, 1.0).points
+            expected = ndtri((2.0 * np.arange(n) + 1.0) / (2.0 * n))
+            ulps = np.abs(points - expected) / np.spacing(np.abs(expected))
+            assert ulps.max() <= 8.0, (n, ulps.max())
 
 
 class TestGaussianLikelihood:
@@ -209,6 +223,20 @@ class TestPdefStep:
         prior = dn.assemble_prior(branches, SpectralGrid.build(59, domain))
         stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
         assert dn.l1_distance(stepped.posterior, prior) <= 1e-12
+
+    def test_failed_margin_retries_are_named(self):
+        # a 16-node grid's bumps are too wide for any margin on this model
+        model = benchmark_model()
+        cfg = flt.PdefConfig(grid_nodes=16)
+        noise = flt.gaussian_quantile_points(16, model.process_noise.variance)
+        state = flt.pdef_init(model, cfg)
+        with pytest.raises(DomainEscapeError) as info:
+            flt.pdef_step(state, model, noise, 1, 0.5, cfg)
+        message = str(info.value)
+        assert "after 6 attempts" in message
+        assert f"final margin scale {1.6 ** 5:.4g}" in message
+        assert "grid_nodes=16" in message
+        assert isinstance(info.value.__cause__, DomainEscapeError)
 
 
 class TestParticleFilter:
