@@ -215,6 +215,14 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _observed(y_k, k: int) -> float:
+    """The observation ``y_k`` as a float, rejected if NaN or infinite."""
+    y = float(y_k)
+    if not math.isfinite(y):
+        raise ValueError(f"observation y_k must be finite, got {y} at step {k}")
+    return y
+
+
 # --------------------------------------------------------------------------
 # density-evolution filter
 # --------------------------------------------------------------------------
@@ -268,6 +276,8 @@ def pdef_step(
 
     Raises
     ------
+    ValueError
+        If ``y_k`` is NaN or infinite, before any model call.
     DomainEscapeError
         If the transported mass still crosses the boundary margin after six
         attempts, each with a margin 1.6 times wider; the message names the
@@ -276,6 +286,7 @@ def pdef_step(
         If the posterior mass collapses below threshold or the model returns
         a non-finite value.
     """
+    y_obs = _observed(y_k, k)
     branches = make_branches(state.posterior, noise, model, k, cfg.state_quantiles)
     margin_scale = 1.0
     for attempt in range(1, _PDEF_ATTEMPTS + 1):
@@ -296,7 +307,7 @@ def pdef_step(
     predicted = model_output(
         "observation", model.observation(grid.nodes, k), grid.nodes.shape, k
     )
-    lik = gaussian_likelihood(y_k, predicted, model.obs_noise.variance)
+    lik = gaussian_likelihood(y_obs, predicted, model.obs_noise.variance)
     return PdefState(posterior_update(prior, lik))
 
 
@@ -329,11 +340,14 @@ def pf_step(
 
     Raises
     ------
+    ValueError
+        If ``y_k`` is NaN or infinite, before any model call.
     WeightUnderflowError
         If every reweighted particle weight underflows to zero.
     FilterDivergenceError
         If the model returns a non-finite value.
     """
+    y_obs = _observed(y_k, k)
     n = state.particles.size
     draws = rng.normal(0.0, model.process_noise.std, n)
     moved = model_output(
@@ -341,7 +355,7 @@ def pf_step(
     )
     predicted = model_output("observation", model.observation(moved, k), (n,), k)
     weights = state.weights * gaussian_likelihood(
-        y_k, predicted, model.obs_noise.variance
+        y_obs, predicted, model.obs_noise.variance
     )
     total = float(weights.sum())
     if not total > 0.0:
@@ -353,27 +367,66 @@ def pf_step(
     return PfState(moved[indices], np.full(n, 1.0 / n))
 
 
+# n_out at and above which systematic_resample counts offspring in one
+# linear pass instead of binary-searching each position.  Best of five
+# timings per call on random weights with n equal to n_out, one 2-vCPU host,
+# one BLAS thread (binary search / linear pass, microseconds): 13 / 24 at
+# 100, 23 / 34 at 300, 45 / 48 at 1000, 41 / 43 at 1200, 79 / 73 at 1400,
+# 103 / 80 at 2000 and 541 / 230 at 10^4.
+_LINEAR_RESAMPLE_MIN = 1024
+
+
 def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     """Systematic (single stratified offset) resampling indices.
 
-    Positions ``(u0 + j) / n_out`` are matched against the cumulative
-    weights, so the offspring count of index i is fixed by u0 alone; with
-    uniform weights and ``n_out`` equal to the input size every index
-    appears exactly once.
+    Position ``(u0 + j) / n_out`` takes the first index whose cumulative
+    weight exceeds it, and the last index if none does, so the offspring
+    count of index i is fixed by u0 alone; with uniform weights and
+    ``n_out`` equal to the input size every index appears exactly once.
+
+    Below ``n_out = 1024`` each position is binary-searched in the
+    cumulative weights, O(n_out log n).  From 1024 on, the offspring are
+    counted in one linear pass (Hol, Schoen & Gustafsson, NSSPW 2006): the
+    number of positions strictly below cumulative weight c is guessed as
+    ``ceil(c * n_out - u0)`` from the even spacing, then corrected by
+    comparing c with the two positions next to the guess, computed by the
+    same expression as the positions searched below 1024.  In units of the
+    spacing the guess and the positions are off by a few ulps of ``n_out``
+    while the positions lie a whole unit apart, so for any ``n_out`` far
+    below 2^50 the guess is at most one off and the corrected counts, and
+    the indices, are exactly those of the binary search.
+
+    Raises
+    ------
+    ValueError
+        If the weights are empty, NaN, infinite or negative, or do not sum
+        to 1 within 1e-9; if ``u0`` is outside [0, 1) or ``n_out < 1``.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+    if not w.min() >= 0.0:
+        raise ValueError("weights must be finite and nonnegative")
+    total = w.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"weights sum to {total!r}, expected 1")
     if not 0.0 <= u0 < 1.0:
         raise ValueError(f"u0 must lie in [0, 1), got {u0}")
     if n_out < 1:
         raise ValueError(f"n_out must be >= 1, got {n_out}")
-    positions = (u0 + np.arange(n_out)) / n_out
-    cumulative = np.cumsum(w)
-    cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, positions, side="right")
+    # the last index takes every position at or past the second-to-last
+    # cumulative weight, also one that rounds up to 1.0
+    inner = np.cumsum(w[:-1])
+    if n_out < _LINEAR_RESAMPLE_MIN:
+        return np.searchsorted(inner, (u0 + np.arange(n_out)) / n_out, side="right")
+    # positions strictly below each inner cumulative weight: the guess g,
+    # then checked against positions g - 1 and g
+    below = np.ceil(inner * n_out - u0)
+    below -= (u0 + (below - 1.0)) / n_out >= inner
+    below += (u0 + below) / n_out < inner
+    # position j takes the number of counts at most j; counts of n_out or
+    # more, from inner cumulative weights rounded past 1, are sliced off
+    return np.cumsum(np.bincount(below.astype(np.intp), minlength=n_out + 1)[:n_out])
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +436,8 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
 # n + lambda and the sigma-point weights for alpha = 1, beta = 0, kappa = 2
 # on the augmented dimension n = 2 (see ukf_step)
 _UKF_SPREAD = 4.0
-_UKF_WEIGHTS = (0.5, 0.125, 0.125, 0.125, 0.125)
+_UKF_CENTER_WEIGHT = 0.5
+_UKF_SIDE_WEIGHT = 0.125
 
 
 def ukf_init(model: ScalarStateModel) -> UkfState:
@@ -406,44 +460,60 @@ def ukf_step(state: UkfState, model: ScalarStateModel, k: int, y_k: float) -> Uk
     serve for both mean and covariance, since 1 - alpha^2 + beta = 0.  No
     weight is negative, so the innovation variance is at least R.
 
-    The five-point arithmetic runs on Python floats, with one scalar model
-    call per sigma point: at this size numpy arrays cost more than the
-    arithmetic itself.
+    The five-point arithmetic runs on Python floats held in locals, with one
+    scalar model call per sigma point: at this size numpy arrays, and even
+    Python lists, cost more than the arithmetic itself.  Each moment is
+    written out as a weighted sum, center point first and then left to
+    right, which fixes the order in which its rounding accumulates.
 
     Raises
     ------
+    ValueError
+        If ``y_k`` is NaN or infinite, before any model call.
     FilterDivergenceError
         If the model returns a non-finite value or the moments overflow.
     """
-    m, var = state.mean, state.variance
-    spread_x = math.sqrt(_UKF_SPREAD * var)
+    y_obs = _observed(y_k, k)
+    m = state.mean
+    spread_x = math.sqrt(_UKF_SPREAD * state.variance)
     spread_v = math.sqrt(_UKF_SPREAD * model.process_noise.variance)
-    points = (m, m + spread_x, m - spread_x, m, m)
-    noises = (0.0, 0.0, 0.0, spread_v, -spread_v)
-    moved = [
-        model_output("transition", model.transition(x, k, v), (), k)
-        for x, v in zip(points, noises)
-    ]
-    predicted = [
-        model_output("observation", model.observation(x, k), (), k) for x in moved
-    ]
-    mean_pred = _weighted_sum(_UKF_WEIGHTS, moved)
-    y_mean = _weighted_sum(_UKF_WEIGHTS, predicted)
-    dx = [x - mean_pred for x in moved]
-    dy = [y - y_mean for y in predicted]
-    var_pred = _weighted_sum(_UKF_WEIGHTS, [d * d for d in dx])
-    innovation_var = _weighted_sum(_UKF_WEIGHTS, [d * d for d in dy]) + model.obs_noise.variance
-    cross = _weighted_sum(_UKF_WEIGHTS, [a * b for a, b in zip(dx, dy)])
+    f, h = model.transition, model.observation
+    # sigma points: the mean, then the state spread, then the noise spread
+    x0 = model_output("transition", f(m, k, 0.0), (), k)
+    x1 = model_output("transition", f(m + spread_x, k, 0.0), (), k)
+    x2 = model_output("transition", f(m - spread_x, k, 0.0), (), k)
+    x3 = model_output("transition", f(m, k, spread_v), (), k)
+    x4 = model_output("transition", f(m, k, -spread_v), (), k)
+    y0 = model_output("observation", h(x0, k), (), k)
+    y1 = model_output("observation", h(x1, k), (), k)
+    y2 = model_output("observation", h(x2, k), (), k)
+    y3 = model_output("observation", h(x3, k), (), k)
+    y4 = model_output("observation", h(x4, k), (), k)
+    c, s = _UKF_CENTER_WEIGHT, _UKF_SIDE_WEIGHT
+    mean_pred = c * x0 + s * x1 + s * x2 + s * x3 + s * x4
+    y_mean = c * y0 + s * y1 + s * y2 + s * y3 + s * y4
+    dx0, dx1, dx2 = x0 - mean_pred, x1 - mean_pred, x2 - mean_pred
+    dx3, dx4 = x3 - mean_pred, x4 - mean_pred
+    dy0, dy1, dy2 = y0 - y_mean, y1 - y_mean, y2 - y_mean
+    dy3, dy4 = y3 - y_mean, y4 - y_mean
+    var_pred = (
+        c * (dx0 * dx0) + s * (dx1 * dx1) + s * (dx2 * dx2)
+        + s * (dx3 * dx3) + s * (dx4 * dx4)
+    )
+    innovation_var = (
+        c * (dy0 * dy0) + s * (dy1 * dy1) + s * (dy2 * dy2)
+        + s * (dy3 * dy3) + s * (dy4 * dy4)
+    ) + model.obs_noise.variance
+    cross = (
+        c * (dx0 * dy0) + s * (dx1 * dy1) + s * (dx2 * dy2)
+        + s * (dx3 * dy3) + s * (dx4 * dy4)
+    )
     gain = cross / innovation_var
-    mean_post = mean_pred + gain * (float(y_k) - y_mean)
+    mean_post = mean_pred + gain * (y_obs - y_mean)
     var_post = max(var_pred - gain * gain * innovation_var, 1e-12)
     if not (math.isfinite(mean_post) and math.isfinite(var_post)):
         raise FilterDivergenceError(f"unscented filter overflowed at step {k}")
     return UkfState(mean_post, var_post)
-
-
-def _weighted_sum(weights, values) -> float:
-    return sum(w * x for w, x in zip(weights, values))
 
 
 def estimate(state) -> float:

@@ -4,6 +4,9 @@ Everything here is deliberately naive (plain series summation, textbook
 closed forms) and shares no code with the package paths it checks.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -79,3 +82,53 @@ def gaussian_pdf(x, mean, variance):
     return np.exp(-0.5 * (np.asarray(x) - mean) ** 2 / variance) / np.sqrt(
         2.0 * np.pi * variance
     )
+
+
+def systematic_resample(weights, n_out, u0):
+    """Systematic resampling by one pointer walk over the positions.
+
+    Position ``(u0 + j) / n_out`` takes the first index whose running sum of
+    weights (added left to right) exceeds it, and the last index if none
+    does.  Returns the indices as an ``intp`` array.
+    """
+    cumulative = list(itertools.accumulate(float(w) for w in weights))
+    last = len(cumulative) - 1
+    indices = []
+    i = 0
+    for j in range(n_out):
+        position = (u0 + j) / n_out
+        while i < last and cumulative[i] <= position:
+            i += 1
+        indices.append(i)
+    return np.array(indices, dtype=np.intp)
+
+
+def ukf_step(mean, variance, model, k, y):
+    """Augmented-state unscented Kalman step on Python lists.
+
+    Five sigma points at 2 standard deviations of state and process noise,
+    weights 1/2 (center) and 1/8, every moment a running sum over the points
+    in order, center first.  Returns the posterior ``(mean, variance)``.
+    """
+    weights = (0.5, 0.125, 0.125, 0.125, 0.125)
+    spread_x = math.sqrt(4.0 * variance)
+    spread_v = math.sqrt(4.0 * model.process_noise.variance)
+    points = (mean, mean + spread_x, mean - spread_x, mean, mean)
+    noises = (0.0, 0.0, 0.0, spread_v, -spread_v)
+    moved = [float(model.transition(x, k, v)) for x, v in zip(points, noises)]
+    predicted = [float(model.observation(x, k)) for x in moved]
+
+    def weighted_sum(values):
+        return sum(w * x for w, x in zip(weights, values))
+
+    mean_pred = weighted_sum(moved)
+    y_mean = weighted_sum(predicted)
+    dx = [x - mean_pred for x in moved]
+    dy = [v - y_mean for v in predicted]
+    var_pred = weighted_sum([d * d for d in dx])
+    innovation_var = weighted_sum([d * d for d in dy]) + model.obs_noise.variance
+    cross = weighted_sum([a * b for a, b in zip(dx, dy)])
+    gain = cross / innovation_var
+    mean_post = mean_pred + gain * (float(y) - y_mean)
+    var_post = max(var_pred - gain * gain * innovation_var, 1e-12)
+    return mean_post, var_post

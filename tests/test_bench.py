@@ -260,13 +260,12 @@ class TestRunTrajectory:
         assert len(lines) == 2 + cfg.steps + 1
         assert lines[-1] == f"# failed: pf step 1: {reason}"
 
-    def test_non_finite_model_output_is_a_recorded_failure(self):
-        # the transition turns NaN at step 3 (the simulated truth too, which
-        # no filter sees before its own transition call fails)
+    def nan_at_step_3(self, observation):
+        # the transition turns NaN at step 3, the simulated truth with it
         base = bench.benchmark_model()
         model = flt.ScalarStateModel(
             transition=lambda x, k, v: base.transition(x, k, v) + (np.nan if k == 3 else 0.0),
-            observation=base.observation,
+            observation=observation or base.observation,
             process_noise=base.process_noise,
             obs_noise=base.obs_noise,
             initial=base.initial,
@@ -275,10 +274,25 @@ class TestRunTrajectory:
             steps=4, runs=1, particles=30, grid_nodes=60,
             state_quantiles=8, noise_points=8, seed=7,
         )
+        return cfg, model
+
+    def test_non_finite_model_output_is_a_recorded_failure(self):
+        # the observation is constant at step 3, so the filters get a finite
+        # observation and fail on their own transition call
+        cfg, model = self.nan_at_step_3(
+            lambda x, k: 0.0 if k == 3 else bench.benchmark_model().observation(x, k)
+        )
         records = bench.run_trajectory(cfg, model=model)
         reason = "FilterDivergenceError: model transition returned a non-finite value at step 3"
         assert records[2].failures == {name: reason for name in ("ukf", "pf", "pdef")}
         assert all(value is not None for value in records[1].estimates.values())
+
+    def test_non_finite_simulated_observation_stops_the_run(self):
+        # a NaN truth observes NaN; that is bad input to every filter, not a
+        # filter failure, so it is raised, not recorded
+        cfg, model = self.nan_at_step_3(None)
+        with pytest.raises(ValueError, match="observation y_k must be finite, got nan at step 3"):
+            bench.run_trajectory(cfg, model=model)
 
 
 class TestCsvOutput:

@@ -18,6 +18,8 @@ from pdefilter.errors import (
 )
 
 from _oracles import gaussian_pdf, kalman_filter
+from _oracles import systematic_resample as resample_oracle
+from _oracles import ukf_step as ukf_oracle
 
 
 def linear_model(a=0.9, c=1.0, q=1.0, r=1.0, m0=0.0, p0=1.0):
@@ -57,6 +59,32 @@ def pf_step_per_particle(state, model, k, y_k, rng):
         return None
     indices = flt.systematic_resample(weights / total, n, rng.random())
     return moved[indices]
+
+
+# sizes on both sides of the crossover to systematic_resample's linear pass
+RESAMPLE_SIZES = st.one_of(st.integers(1, 300), st.integers(1000, 2100))
+
+
+@st.composite
+def resample_cases(draw):
+    """Weights (zero, equal, near 1e-300 or uniform draws), n_out and u0."""
+    n = draw(RESAMPLE_SIZES)
+    n_out = draw(st.one_of(st.just(n), RESAMPLE_SIZES))
+    u0 = draw(
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+    )
+    if draw(st.booleans()):
+        return np.full(n, 1.0 / n), n_out, u0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random(n)
+    raw[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] *= 1e-300
+    raw[rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+    if not raw.sum() > 0.0:
+        raw[rng.integers(n)] = 1.0
+    return raw / raw.sum(), n_out, u0
 
 
 def grid_density(order, lo, hi, values):
@@ -390,6 +418,31 @@ class TestSystematicResample:
         with pytest.raises(ValueError):
             flt.systematic_resample([0.5, 0.5], 3, 1.0)
 
+    @pytest.mark.parametrize("n_out", [3, 2000])
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 0.5, 0.5], [-0.5, 1.5], [np.inf, -np.inf, 1.0]]
+    )
+    def test_rejects_nan_infinite_or_negative_weights(self, weights, n_out):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            flt.systematic_resample(weights, n_out, 0.5)
+
+    @pytest.mark.parametrize("n_out", [3, 1500])
+    def test_position_rounding_to_one_takes_last_index(self, n_out):
+        u0 = 1.0 - 2.0**-53
+        assert (u0 + (n_out - 1)) / n_out == 1.0
+        idx = flt.systematic_resample([0.5, 0.5], n_out, u0)
+        assert idx[-1] == 1
+        np.testing.assert_array_equal(idx, resample_oracle([0.5, 0.5], n_out, u0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=resample_cases())
+    def test_equals_pointer_walk_oracle(self, case):
+        weights, n_out, u0 = case
+        got = flt.systematic_resample(weights, n_out, u0)
+        expected = resample_oracle(weights, n_out, u0)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestUkf:
     def test_equals_kalman_on_linear_model(self):
@@ -420,6 +473,21 @@ class TestUkf:
         model = linear_model(a=1.0, c=1.0, q=0.5, r=1.0, m0=1.7, p0=1.0)
         state = flt.ukf_step(flt.ukf_init(model), model, 1, 1.7)
         assert state.mean == pytest.approx(1.7, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["growth", "linear"])
+    def test_equals_list_form_oracle_bit_for_bit(self, kind, seed):
+        if kind == "growth":
+            model = benchmark_model()
+        else:
+            model = linear_model(a=0.7, c=2.0, q=0.8, r=1.3, m0=0.5, p0=2.0)
+        _, obs = simulate_truth(model, 50, np.random.default_rng(seed))
+        state = flt.ukf_init(model)
+        mean, variance = state.mean, state.variance
+        for k in range(1, 51):
+            state = flt.ukf_step(state, model, k, obs[k - 1])
+            mean, variance = ukf_oracle(mean, variance, model, k, obs[k - 1])
+            assert (state.mean, state.variance) == (mean, variance)
 
     def test_overflowing_moments_are_divergence(self):
         # finite sigma points whose squared spread overflows
@@ -473,6 +541,36 @@ class TestNonFiniteModelOutput:
         model = self.model(broken)
         with pytest.raises(FilterDivergenceError, match=f"model {broken} .* step 3"):
             flt.ukf_step(flt.ukf_init(model), model, 3, 0.2)
+
+
+class TestNonFiniteObservation:
+    @pytest.mark.parametrize("y_k", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["pdef", "pf", "ukf"])
+    def test_rejected_before_any_model_call(self, name, y_k):
+        def never(*args):
+            raise AssertionError("model called")
+
+        model = flt.ScalarStateModel(
+            transition=never,
+            observation=never,
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(0.0, 1.0),
+        )
+        cfg = flt.PdefConfig(grid_nodes=40, state_quantiles=4)
+        steps = {
+            "pdef": lambda: flt.pdef_step(
+                flt.pdef_init(model, cfg), model, flt.gaussian_quantile_points(4, 1.0),
+                4, y_k, cfg,
+            ),
+            "pf": lambda: flt.pf_step(
+                flt.pf_init(model, 20, np.random.default_rng(0)), model, 4, y_k,
+                np.random.default_rng(1),
+            ),
+            "ukf": lambda: flt.ukf_step(flt.ukf_init(model), model, 4, y_k),
+        }
+        with pytest.raises(ValueError, match="observation y_k must be finite, got .* at step 4"):
+            steps[name]()
 
 
 class TestEstimate:
