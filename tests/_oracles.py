@@ -27,6 +27,25 @@ def taylor_expm(a, tol=1e-22):
     return total
 
 
+def complex_transport(
+    generator, folded, shifts, weights, noise_shifts=(0.0,), noise_weights=(1.0,)
+):
+    """``sum_p sum_b noise_weights[p] weights[b] expm((shifts[b] +
+    noise_shifts[p]) generator) folded[b]`` by complex exponentials.
+
+    One complex eigendecomposition ``generator = V diag(lam) V^-1`` over the
+    whole spectrum, real parts of ``lam`` included: each row of *folded* is
+    taken to eigen-coordinates, rotated by ``exp(shift lam)`` and weighted,
+    the rows are summed, the sum is multiplied by the noise factor and
+    transformed back, and the real part is returned.
+    """
+    lam, vecs = np.linalg.eig(np.asarray(generator, dtype=float))
+    coords = np.exp(np.outer(shifts, lam)) * (np.asarray(folded) @ np.linalg.inv(vecs).T)
+    noise = np.exp(np.outer(noise_shifts, lam))
+    z = (np.asarray(weights) @ coords) * (np.asarray(noise_weights) @ noise)
+    return (vecs @ z).real
+
+
 def kalman_filter(observations, a, c, q, r, m0, p0):
     """Closed-form scalar Kalman filter for x_k = a x_{k-1} + v, y = c x + w.
 

@@ -1,5 +1,6 @@
 """Grid densities, mollified deltas, advection and prior assembly."""
 
+import re
 import sys
 import threading
 
@@ -21,7 +22,7 @@ from pdefilter.filters import (
     gaussian_quantile_points,
 )
 
-from _oracles import gaussian_pdf
+from _oracles import complex_transport, gaussian_pdf
 
 
 def wide_grid(order=64, half_width=13.0):
@@ -89,6 +90,15 @@ def fresh_bump(grid, center):
         return dn.mollified_delta(grid, center)
     finally:
         dn._last_bump = saved
+
+
+def argmin_sigma(grid, center):
+    """The bump width from its definition: 1.5 times the mean of the node
+    gaps (``np.diff`` over the whole grid) next to the node that
+    ``np.argmin`` of the distances picks."""
+    gaps = np.diff(grid.nodes)
+    j = int(np.argmin(np.abs(grid.nodes - center)))
+    return 1.5 * float(gaps[max(j - 1, 0): j + 1].mean())
 
 
 def counting(monkeypatch, name):
@@ -181,6 +191,15 @@ class TestGridDensity:
         values = np.ones(9)
         values[0] = np.nan
         with pytest.raises(ValueError, match="finite"):
+            dn.GridDensity(wide_grid(8), values)
+
+    @pytest.mark.parametrize(
+        "bad", [[np.inf], [-np.inf], [np.nan], [np.nan, -0.5], [-0.5, np.nan]]
+    )
+    def test_non_finite_values_are_reported_before_negative_ones(self, bad):
+        values = np.ones(9)
+        values[2:2 + len(bad)] = bad
+        with pytest.raises(ValueError, match="^density values must be finite$"):
             dn.GridDensity(wide_grid(8), values)
 
     def test_subnormal_values_are_stored_as_zero(self):
@@ -299,18 +318,46 @@ class TestMollifiedDelta:
     def test_sigma_equals_mean_of_all_gaps_formula(self, order):
         # the width once took np.diff over the whole grid and the mean of
         # the adjacent slice; the two-gap form must agree bit for bit
-        def full_diff_sigma(grid, center):
-            gaps = np.diff(grid.nodes)
-            j = int(np.argmin(np.abs(grid.nodes - center)))
-            return 1.5 * float(gaps[max(j - 1, 0): j + 1].mean())
-
         grid = SpectralGrid.build(order, Interval(-7.3, 19.1))
         rng = np.random.default_rng(order)
         centers = np.concatenate(
             [rng.uniform(-7.3, 19.1, 2000), grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1])]
         )
         for center in centers:
-            assert dn.mollification_sigma(grid, center) == full_diff_sigma(grid, center)
+            assert dn.mollification_sigma(grid, center) == argmin_sigma(grid, center)
+
+
+class TestMollificationSigma:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        order=st.sampled_from([1, 2, 3, 47, 99, 149]) | st.integers(1, 400),
+        lo=st.floats(-1e3, 1e3),
+        width=st.floats(1e-3, 1e3),
+    )
+    def test_equals_argmin_definition_at_nodes_midpoints_and_next_floats(self, order, lo, width):
+        grid = SpectralGrid.build(order, Interval(lo, lo + width))
+        nodes = grid.nodes
+        mids = 0.5 * (nodes[1:] + nodes[:-1])
+        centers = np.concatenate(
+            [nodes, mids] + [np.nextafter(a, b) for a in (nodes, mids) for b in (-np.inf, np.inf)]
+        )
+        for center in centers.tolist():
+            assert dn.mollification_sigma(grid, center) == argmin_sigma(grid, center)
+
+    @pytest.mark.parametrize("order", [3, 47, 99])
+    def test_exact_tie_takes_the_lower_node(self, order):
+        # a midpoint at exactly equal rounded distances from two nodes whose
+        # widths differ takes the width of the lower one, as np.argmin does
+        grid = SpectralGrid.build(order, Interval(-7.3, 19.1))
+        nodes = grid.nodes.tolist()
+        ties = 0
+        for lower, upper in zip(nodes, nodes[1:]):
+            mid = 0.5 * (lower + upper)
+            widths = dn.mollification_sigma(grid, lower), dn.mollification_sigma(grid, upper)
+            if mid - lower == upper - mid and widths[0] != widths[1]:
+                ties += 1
+                assert dn.mollification_sigma(grid, mid) == widths[0]
+        assert ties >= order // 3
 
 
 class TestAdvectStep:
@@ -376,6 +423,30 @@ class TestSpectralPropagator:
         assert eig.cond <= 10.0
         assert np.abs(eig.lam.real).max() <= 1e-10
 
+    @pytest.mark.parametrize("order", [*range(3, 41), *range(41, 400, 23), 400])
+    def test_spectrum_is_imaginary_to_rounding(self, order):
+        # the transport rotates by Im lam alone; the real parts it drops
+        # must stay at rounding size (uncached, to keep the cache small)
+        lam = dn._eigensystem.__wrapped__(order).lam
+        assert np.abs(lam.real).max() <= 1e-14 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("starts, noise, nodes", [(16, 16, 100), (64, 64, 150), (4, 4, 48)])
+    def test_equals_complex_exponential_oracle(self, starts, noise, nodes):
+        # benchmark-sized products: bumps on the unit interval, shifts up
+        # to half its width
+        order = nodes - 1
+        unit = SpectralGrid.build(order, Interval(-1.0, 1.0))
+        rng = np.random.default_rng(nodes)
+        bumps = np.array([fresh_bump(unit, c).values for c in rng.uniform(-0.5, 0.5, starts)])
+        shifts, noise_shifts = rng.uniform(-0.5, 0.5, starts), rng.uniform(-0.3, 0.3, noise)
+        weights, noise_weights = rng.uniform(0.1, 1.0, starts), rng.uniform(0.1, 1.0, noise)
+        weights /= weights.sum()
+        noise_weights /= noise_weights.sum()
+        args = (dn._fold(bumps), shifts, weights, noise_shifts, noise_weights)
+        got = dn._transport(order, *args)
+        expected = complex_transport(dn.folded_generator(unit, 1.0), *args)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_eigensystem_is_cached_per_order(self):
         assert dn._eigensystem(47) is dn._eigensystem(47)
 
@@ -422,6 +493,27 @@ class TestBranches:
                   "noise_value": [0.0, 0.0], "noise_weight": [0.5, 0.5]}
         fields[field][1] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dn.Branches(**fields)
+
+    @pytest.mark.parametrize("field", ["start_mass", "noise_weight"])
+    @pytest.mark.parametrize("bad", [[np.nan, -0.5], [-0.5, np.nan]])
+    def test_nan_mass_is_reported_before_its_range(self, field, bad):
+        fields = {"start_state": [0.0, 1.0], "start_mass": [0.5, 0.5], "drift": [1.0, 1.0],
+                  "noise_value": [0.0, 0.0], "noise_weight": [0.5, 0.5]}
+        fields[field] = bad
+        with pytest.raises(ValueError, match=f"^branch field {field} must be finite$"):
+            dn.Branches(**fields)
+
+    def test_fields_are_checked_in_order(self):
+        # a mass out of range is reported before a later field's NaN, and
+        # the message gives the range
+        fields = {"start_state": [0.0, 1.0], "start_mass": [-0.25, 0.5], "drift": [np.nan, 1.0],
+                  "noise_value": [np.inf, 0.0], "noise_weight": [0.5, 0.5]}
+        message = "branch field start_mass must be in (0, 1], got range [-0.25, 0.5]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dn.Branches(**fields)
+        fields["start_mass"] = [0.5, 0.5]
+        with pytest.raises(ValueError, match="^branch field drift must be finite$"):
             dn.Branches(**fields)
 
     def test_rejects_overflowing_velocity(self):

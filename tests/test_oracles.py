@@ -5,7 +5,7 @@ import numpy as np
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 
-from _oracles import grid_bayes_filter, kalman_filter
+from _oracles import complex_transport, grid_bayes_filter, kalman_filter, taylor_expm
 
 
 def test_grid_bayes_equals_kalman_on_linear_model():
@@ -48,3 +48,19 @@ def test_grid_bayes_converged_at_1001_nodes_on_benchmark():
         for nodes in (1001, 2001)
     ]
     assert np.abs(means[0] - means[1]).max() <= 1e-3
+
+
+def test_complex_transport_equals_taylor_exponentials():
+    # a random generator with complex spectrum, two rows, three noise points
+    rng = np.random.default_rng(4)
+    gen = rng.normal(size=(6, 6))
+    folded = rng.normal(size=(2, 6))
+    shifts, weights = np.array([-0.3, 0.5]), np.array([0.4, 0.6])
+    noise_shifts, noise_weights = np.array([-0.2, 0.0, 0.7]), np.array([0.3, 0.5, 0.2])
+    expected = sum(
+        w * u * (taylor_expm((t + n) * gen) @ row)
+        for row, t, w in zip(folded, shifts, weights)
+        for n, u in zip(noise_shifts, noise_weights)
+    )
+    got = complex_transport(gen, folded, shifts, weights, noise_shifts, noise_weights)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
