@@ -19,6 +19,7 @@ diagonal), which also pins the corner magnitudes to ``(2 N^2 + 1) / 6``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +36,7 @@ class Interval:
     def __post_init__(self):
         lo = float(self.lo)
         hi = float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if lo >= hi:
             raise ValueError(f"degenerate interval: [{lo}, {hi}]")

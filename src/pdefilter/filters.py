@@ -250,7 +250,10 @@ def posterior_update(prior: GridDensity, likelihood_values) -> GridDensity:
         raise ValueError(
             f"likelihood shape {lik.shape} does not match grid {prior.values.shape}"
         )
-    if lik.min() < 0.0:
+    lo, hi = map(float, density_mod._extremes(lik))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("likelihood values must be finite")
+    if lo < 0.0:
         raise ValueError("likelihood values must be nonnegative")
     return density_mod.normalize(GridDensity(prior.grid, prior.values * lik))
 

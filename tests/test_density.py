@@ -13,7 +13,7 @@ from scipy.special import ndtri
 from pdefilter import density as dn
 from pdefilter import linalg
 from pdefilter.bench import benchmark_model
-from pdefilter.chebyshev import Interval, SpectralGrid, barycentric_interp
+from pdefilter.chebyshev import Interval, SpectralGrid, barycentric_interp, barycentric_matrix
 from pdefilter.errors import DomainEscapeError, FilterDivergenceError
 from pdefilter.filters import (
     GaussianSpec,
@@ -101,6 +101,16 @@ def argmin_sigma(grid, center):
     return 1.5 * float(gaps[max(j - 1, 0): j + 1].mean())
 
 
+def assert_sigma_is_argmin_sigma(grid, center):
+    """Strictly inside the domain the width equals its definition; any other
+    center, an end node included, is refused."""
+    if grid.domain.lo < center < grid.domain.hi:
+        assert dn.mollification_sigma(grid, center) == argmin_sigma(grid, center)
+    else:
+        with pytest.raises(ValueError, match="not strictly inside"):
+            dn.mollification_sigma(grid, center)
+
+
 def counting(monkeypatch, name):
     """Replace ``density.<name>`` by a wrapper that records its calls."""
     calls = []
@@ -147,6 +157,59 @@ def random_products(draw):
     ]
     start_mass, noise_weight = (np.array(m) / sum(m) for m in masses)
     return product_of(starts, drifts, noise, start_mass, noise_weight)
+
+
+def screenless_prior(branches, grid):
+    """Prior assembly without the per-start screen: every branch compared
+    against the margin on its own, in order, with one ``mollified_delta``
+    call per branch; the transport is :func:`density.assemble_prior`'s."""
+    lo_bound, hi_bound = dn._margin_bounds(grid)
+    noise = branches.noise_value.tolist()
+    bumps = []
+    for s, (start, drift) in enumerate(
+        zip(branches.start_state.tolist(), branches.drift.tolist())
+    ):
+        for p, v in enumerate(noise):
+            bump = dn.mollified_delta(grid, start)
+            if p == 0:
+                bumps.append(bump.values)
+                lo, hi = dn._support_range(grid, bump.values)
+            velocity = drift + v
+            if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
+                label = f"branch {s * len(noise) + p}"
+                dn._check_escaped_mass(grid, bump.values, velocity, (lo, hi), label)
+    scale = dn.affine_scale(grid.domain)
+    accum = dn._transport(
+        grid.order,
+        dn._fold(np.array(bumps)),
+        scale * branches.drift,
+        branches.start_mass,
+        scale * branches.noise_value,
+        branches.noise_weight,
+    )
+    return dn.normalize(dn.GridDensity(grid, np.maximum(dn._unfold(accum), 0.0)))
+
+
+@st.composite
+def margin_straddling_products(draw):
+    """Product branches on :func:`wide_grid` whose starts each put the
+    support range of their extreme branch within a few bump widths of the
+    margin, on either side of it: drifts are solved so that the range
+    shifted by the highest (or lowest) velocity overshoots the bound by a
+    drawn amount, exactly zero and single roundings included."""
+    grid = wide_grid()
+    lo_bound, hi_bound = dn._margin_bounds(grid)
+    starts = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    noise = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5))
+    drifts = []
+    for start in starts:
+        lo, hi = dn._support_range(grid, fresh_bump(grid, start).values)
+        overshoot = draw(st.sampled_from([0.0, 4e-16, -4e-16]) | st.floats(-1.0, 4.0))
+        if draw(st.booleans()):
+            drifts.append(hi_bound + overshoot - hi - max(noise))
+        else:
+            drifts.append(lo_bound - overshoot - lo - min(noise))
+    return product_of(starts, drifts, noise), grid
 
 
 def prediction_step(case):
@@ -324,7 +387,7 @@ class TestMollifiedDelta:
             [rng.uniform(-7.3, 19.1, 2000), grid.nodes, 0.5 * (grid.nodes[1:] + grid.nodes[:-1])]
         )
         for center in centers:
-            assert dn.mollification_sigma(grid, center) == argmin_sigma(grid, center)
+            assert_sigma_is_argmin_sigma(grid, center)
 
 
 class TestMollificationSigma:
@@ -342,18 +405,33 @@ class TestMollificationSigma:
             [nodes, mids] + [np.nextafter(a, b) for a in (nodes, mids) for b in (-np.inf, np.inf)]
         )
         for center in centers.tolist():
-            assert dn.mollification_sigma(grid, center) == argmin_sigma(grid, center)
+            assert_sigma_is_argmin_sigma(grid, center)
+
+    @pytest.mark.parametrize(
+        "center", [np.nan, np.inf, -np.inf, -3.0, 5.0, 1e9], ids=str
+    )
+    def test_center_not_strictly_inside_rejected(self, center):
+        # NaN and far centers once got the end-gap width; the bump builder
+        # gets its check, and its message, from here
+        grid = SpectralGrid.build(20, Interval(-3.0, 5.0))
+        message = re.escape(f"delta center {center} not strictly inside [-3.0, 5.0]")
+        with pytest.raises(ValueError, match=message):
+            dn.mollification_sigma(grid, center)
+        with pytest.raises(ValueError, match=message):
+            fresh_bump(grid, center)
 
     @pytest.mark.parametrize("order", [3, 47, 99])
     def test_exact_tie_takes_the_lower_node(self, order):
         # a midpoint at exactly equal rounded distances from two nodes whose
-        # widths differ takes the width of the lower one, as np.argmin does
+        # widths differ takes the width of the lower one, as np.argmin does;
+        # the node widths come from the definition, which also covers the
+        # end nodes that mollification_sigma refuses
         grid = SpectralGrid.build(order, Interval(-7.3, 19.1))
         nodes = grid.nodes.tolist()
         ties = 0
         for lower, upper in zip(nodes, nodes[1:]):
             mid = 0.5 * (lower + upper)
-            widths = dn.mollification_sigma(grid, lower), dn.mollification_sigma(grid, upper)
+            widths = argmin_sigma(grid, lower), argmin_sigma(grid, upper)
             if mid - lower == upper - mid and widths[0] != widths[1]:
                 ties += 1
                 assert dn.mollification_sigma(grid, mid) == widths[0]
@@ -446,6 +524,27 @@ class TestSpectralPropagator:
         got = dn._transport(order, *args)
         expected = complex_transport(dn.folded_generator(unit, 1.0), *args)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_tangent_rotation_equals_cosine_and_sine(self):
+        # random angles up to 1e5, zero, and the odd multiples of pi up to
+        # 1e5 with the floats on either side, where the tangent of the half
+        # angle is largest
+        rng = np.random.default_rng(12)
+        odd = np.pi * np.arange(-31831.0, 31832.0, 2.0)
+        angles = np.concatenate(
+            [
+                [0.0, -0.0],
+                rng.uniform(-1e5, 1e5, 20000),
+                rng.uniform(-7.0, 7.0, 2000),
+                odd,
+                np.nextafter(odd, np.inf),
+                np.nextafter(odd, -np.inf),
+            ]
+        )
+        rotation = dn._rotation(0.5 * angles)
+        assert np.abs(rotation.real - np.cos(angles)).max() <= 1e-15
+        assert np.abs(rotation.imag - np.sin(angles)).max() <= 1e-15
+        assert rotation[0] == 1.0 and rotation[0].imag == 0.0
 
     def test_eigensystem_is_cached_per_order(self):
         assert dn._eigensystem(47) is dn._eigensystem(47)
@@ -659,6 +758,53 @@ class TestDensityQuantiles:
         assert np.abs(got - expected).max() <= 1e-12 * grid.domain.width
         assert dn._cdf_kernel(order) is dn._cdf_kernel(order)
 
+    @pytest.mark.parametrize("order", [1, 2, 47, 99, 149, 300])
+    def test_mirrored_half_kernel_equals_full_kernel(self, order):
+        # the kernel holds the m + 1 rows up to the midpoint of the 2 m + 1
+        # point mesh; applied to the reversed values it gives the right half.
+        # The full mesh's points are not exactly antisymmetric, so the two
+        # differ by rounding of the points times the interpolant's slope:
+        # the values are a density's, a resolved off-center bump
+        kernel, mesh = dn._cdf_kernel(order)
+        m = (mesh.size - 1) // 2
+        assert mesh.size == 2 * m + 1 and kernel.shape == (m + 1, order + 1)
+        grid = SpectralGrid.build(order, Interval(-1.0, 1.0))
+        v = gaussian_pdf(grid.nodes, 0.2, 0.3**2)
+        halves = kernel @ np.column_stack((v, v[::-1]))
+        mirrored = np.concatenate((halves[:, 0], halves[-2::-1, 1]))
+        full = barycentric_matrix(order, np.linspace(-1.0, 1.0, mesh.size)) @ v
+        assert np.abs(mirrored - full).max() <= 1e-13
+
+
+class TestExtremes:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [np.nan],
+            [-0.0],
+            [1.0, np.nan, -2.0],
+            [np.nan, np.inf, np.nan],
+            [np.inf, 0.0],
+            [-np.inf, 5.0],
+            [2.0, -np.inf, np.inf],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+        ],
+        ids=str,
+    )
+    def test_equals_min_and_max(self, values):
+        a = np.array(values)
+        np.testing.assert_array_equal(dn._extremes(a), [a.min(), a.max()])
+
+    def test_equals_min_and_max_on_benchmark_sized_arrays(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 100, 150, 4096):
+            a = rng.normal(size=size)
+            np.testing.assert_array_equal(dn._extremes(a), [a.min(), a.max()])
+            a[rng.integers(size)] = np.nan
+            np.testing.assert_array_equal(dn._extremes(a), [np.nan, np.nan])
+
 
 class TestAssemblePrior:
     def test_zero_velocity_branch_reproduces_delta(self):
@@ -805,6 +951,26 @@ class TestAssemblePrior:
         grid = wide_grid()
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=margin_straddling_products())
+    @example(case=(product_of([0.5, -1.0], [0.0, 0.0], [0.5, 10.5]), wide_grid()))
+    @example(case=(product_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.9]), wide_grid()))
+    def test_start_screen_equals_per_branch_checks(self, case):
+        # the same result bits or the same first escape, after the same
+        # mollified_delta calls, as checking every branch on its own
+        branches, grid = case
+
+        def outcome(assemble):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = counting(mp, "mollified_delta")
+                try:
+                    result = assemble(branches, grid).values.tobytes()
+                except DomainEscapeError as error:
+                    result = str(error)
+            return result, len(calls)
+
+        assert outcome(dn.assemble_prior) == outcome(screenless_prior)
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()

@@ -194,6 +194,27 @@ class TestPosteriorUpdate:
         with pytest.raises(ValueError, match="nonnegative"):
             flt.posterior_update(prior, np.full(prior.grid.n_nodes, -1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_likelihood_is_named(self, bad):
+        # the likelihood is at fault, not the density the product would be
+        prior = self.uniform_prior()
+        lik = np.full(prior.grid.n_nodes, 0.5)
+        lik[7] = bad
+        with pytest.raises(ValueError, match="likelihood values must be finite"):
+            flt.posterior_update(prior, lik)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_likelihood_is_reported_before_negative(self, bad):
+        prior = self.uniform_prior()
+        lik = np.full(prior.grid.n_nodes, 0.5)
+        lik[3] = -1.0
+        lik[9] = bad
+        with pytest.raises(ValueError, match="likelihood values must be finite"):
+            flt.posterior_update(prior, lik)
+        lik[9] = 0.5
+        with pytest.raises(ValueError, match="likelihood values must be nonnegative"):
+            flt.posterior_update(prior, lik)
+
 
 class TestPdefStep:
     def test_flat_likelihood_posterior_equals_prior(self):
