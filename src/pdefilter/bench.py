@@ -76,23 +76,33 @@ def rmse(truth, estimates) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Configuration of a multi-run benchmark experiment."""
+    """Configuration of a multi-run benchmark experiment; its defaults are
+    the command line's."""
 
     filters: tuple = FILTER_ORDER
     steps: int = 50
     runs: int = 50
     particles: int = 100
-    grid_nodes: int = 100
-    state_quantiles: int = 16
+    grid_nodes: int = f.PdefConfig.grid_nodes
+    state_quantiles: int = f.PdefConfig.state_quantiles
     noise_points: int = 16
     seed: int = 42
     pdef: f.PdefConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # tuple("pf") would split a bare name into letters
+        if isinstance(self.filters, str):
+            raise ValueError(
+                f"filters must be a sequence of names, not the string {self.filters!r}"
+            )
         object.__setattr__(self, "filters", tuple(self.filters))
-        for name in self.filters:
+        for i, name in enumerate(self.filters):
             if name not in FILTER_ORDER:
                 raise ValueError(f"unknown filter {name!r}")
+            # a repeat would step again on the run's particle stream and
+            # overwrite the first pass's estimates
+            if name in self.filters[:i]:
+                raise ValueError(f"duplicate filter {name!r}")
         if not self.filters:
             raise ValueError("no filters requested")
         for attr in ("steps", "runs", "particles", "noise_points"):
@@ -182,13 +192,38 @@ def _step_estimates(name, cfg, model, noise, observations, pf_rng):
         for k in range(1, steps + 1):
             state = f.pf_step(state, model, k, observations[k - 1], pf_rng)
             yield f.estimate(state)
-    elif name == "pdef":
+    else:
         state = f.pdef_init(model, cfg.pdef)
         for k in range(1, steps + 1):
             state = f.pdef_step(state, model, noise, k, observations[k - 1], cfg.pdef)
             yield f.estimate(state)
-    else:
-        raise ValueError(f"unknown filter {name!r}")
+
+
+def _runs(cfg: ExperimentConfig, model, run_indices):
+    """Simulate each run and step every requested filter through it.
+
+    Yields ``(run, truth, observations, outcomes)`` per run index;
+    ``outcomes`` maps each filter, in ``cfg.filters`` order, to its
+    completed estimates and the failure that stopped it, or None.  The
+    model and the noise quantization are resolved once for all runs.
+    """
+    model = benchmark_model() if model is None else model
+    noise = f.gaussian_quantile_points(
+        cfg.noise_points, model.process_noise.variance
+    )
+    for run in run_indices:
+        truth_rng, pf_rng = run_seed_streams(cfg.seed, run)
+        truth, observations = simulate_truth(model, cfg.steps, truth_rng)
+        outcomes = {}
+        for name in cfg.filters:
+            estimates, failure = [], None
+            try:
+                for value in _step_estimates(name, cfg, model, noise, observations, pf_rng):
+                    estimates.append(float(value))
+            except _FAILURE_KINDS as err:
+                failure = err
+            outcomes[name] = (estimates, failure)
+        yield run, truth, observations, outcomes
 
 
 def run_experiment(cfg: ExperimentConfig, model=None) -> list:
@@ -201,58 +236,35 @@ def run_experiment(cfg: ExperimentConfig, model=None) -> list:
     ``model`` overrides the benchmark model (tests use this to pin noise
     variances); the CLI always runs the benchmark.
     """
-    model = benchmark_model() if model is None else model
-    noise = f.gaussian_quantile_points(
-        cfg.noise_points, model.process_noise.variance
-    )
     reports = {name: RmseReport(name, cfg.steps) for name in cfg.filters}
-    for run in range(cfg.runs):
-        truth_rng, pf_rng = run_seed_streams(cfg.seed, run)
-        truth, observations = simulate_truth(model, cfg.steps, truth_rng)
-        for name in cfg.filters:
-            try:
-                estimates = list(
-                    _step_estimates(name, cfg, model, noise, observations, pf_rng)
-                )
-            except _FAILURE_KINDS as err:
-                reports[name].failures.append((run, str(err)))
-                continue
-            reports[name].rmse_by_run[run] = rmse(truth, estimates)
-    return [reports[name] for name in cfg.filters]
+    for run, truth, _, outcomes in _runs(cfg, model, range(cfg.runs)):
+        for name, (estimates, failure) in outcomes.items():
+            if failure is None:
+                reports[name].rmse_by_run[run] = rmse(truth, estimates)
+            else:
+                reports[name].failures.append((run, str(failure)))
+    return list(reports.values())
 
 
 def run_trajectory(cfg: ExperimentConfig, model=None) -> list:
-    """Single seeded run, recording per-step estimates for every filter.
+    """Single seeded run (run 0; ``cfg.runs`` is unused), recording per-step
+    estimates for every filter.
 
     A filter that fails mid-run keeps its completed estimates; the failing
     step records the reason and it and later steps are missing (None).
     """
-    model = benchmark_model() if model is None else model
-    noise = f.gaussian_quantile_points(
-        cfg.noise_points, model.process_noise.variance
-    )
-    truth_rng, pf_rng = run_seed_streams(cfg.seed, 0)
-    truth, observations = simulate_truth(model, cfg.steps, truth_rng)
-
-    estimates = {}
+    [(_, truth, observations, outcomes)] = _runs(cfg, model, [0])
     failures = [{} for _ in range(cfg.steps)]
-    for name in cfg.filters:
-        per_step = []
-        stepper = _step_estimates(name, cfg, model, noise, observations, pf_rng)
-        try:
-            for value in stepper:
-                per_step.append(float(value))
-        except _FAILURE_KINDS as err:
-            # keep the completed prefix, leave the rest missing
-            failures[len(per_step)][name] = f"{type(err).__name__}: {err}"
-        estimates[name] = per_step + [None] * (cfg.steps - len(per_step))
-
+    for name, (estimates, failure) in outcomes.items():
+        if failure is not None:
+            failures[len(estimates)][name] = f"{type(failure).__name__}: {failure}"
+        estimates += [None] * (cfg.steps - len(estimates))
     return [
         TrajectoryRecord(
             k=k,
             truth=float(truth[k - 1]),
             observation=float(observations[k - 1]),
-            estimates={name: estimates[name][k - 1] for name in cfg.filters},
+            estimates={name: outcomes[name][0][k - 1] for name in cfg.filters},
             failures=failures[k - 1],
         )
         for k in range(1, cfg.steps + 1)

@@ -71,6 +71,7 @@ def gauss_lobatto_nodes(order: int) -> np.ndarray:
     return _reference_nodes(_checked_order(order)).copy()
 
 
+@lru_cache(maxsize=32)
 def diff_matrix(order: int) -> np.ndarray:
     """Spectral differentiation matrix on the Gauss-Lobatto nodes.
 
@@ -78,9 +79,19 @@ def diff_matrix(order: int) -> np.ndarray:
     matrix returns samples of the exact derivative (up to rounding).  The
     returned array is a cached read-only view; copy before modifying.
     """
-    return _diff_matrix_cached(_checked_order(order))
+    order = _checked_order(order)
+    x = _reference_nodes(order)
+    lam = _bary_weights(order)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    d = (lam[None, :] / lam[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    # negative-sum trick: rows of the exact matrix annihilate constants
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return _readonly(d)
 
 
+@lru_cache(maxsize=64)
 def cc_weights(order: int) -> np.ndarray:
     """Clenshaw-Curtis quadrature weights on the Gauss-Lobatto nodes.
 
@@ -89,7 +100,17 @@ def cc_weights(order: int) -> np.ndarray:
     polynomials of degree <= order, and all weights are positive.  Cached,
     read-only.
     """
-    return _cc_weights_cached(_checked_order(order))
+    order = _checked_order(order)
+    j = np.arange(order + 1)
+    w = np.zeros(order + 1)
+    for m in range(order // 2 + 1):
+        term = np.cos(2.0 * np.pi * m * j / order) / (1.0 - 4.0 * m * m)
+        halved = m == 0 or 2 * m == order
+        w += (0.5 if halved else 1.0) * term
+    w *= 4.0 / order
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return _readonly(w)
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ class SpectralGrid:
     def build(cls, order: int, domain: Interval) -> "SpectralGrid":
         order = _checked_order(order)
         ref = _reference_nodes(order)
-        qw = _cc_weights_cached(order)
+        qw = cc_weights(order)
         nodes = _readonly(affine_unmap(domain, ref))
         pw = _readonly(qw * (domain.width / 2.0))
         return cls(order, domain, ref, qw, nodes, pw)
@@ -197,33 +218,6 @@ def _reference_nodes(order: int) -> np.ndarray:
     j = np.arange(order + 1)
     # sin form of -cos(pi j / order): exactly antisymmetric about the midpoint
     return _readonly(np.sin(np.pi * (2 * j - order) / (2 * order)))
-
-
-@lru_cache(maxsize=32)
-def _diff_matrix_cached(order: int) -> np.ndarray:
-    x = _reference_nodes(order)
-    lam = _bary_weights(order)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    d = (lam[None, :] / lam[:, None]) / diff
-    np.fill_diagonal(d, 0.0)
-    # negative-sum trick: rows of the exact matrix annihilate constants
-    np.fill_diagonal(d, -d.sum(axis=1))
-    return _readonly(d)
-
-
-@lru_cache(maxsize=64)
-def _cc_weights_cached(order: int) -> np.ndarray:
-    j = np.arange(order + 1)
-    w = np.zeros(order + 1)
-    for m in range(order // 2 + 1):
-        term = np.cos(2.0 * np.pi * m * j / order) / (1.0 - 4.0 * m * m)
-        halved = m == 0 or 2 * m == order
-        w += (0.5 if halved else 1.0) * term
-    w *= 4.0 / order
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return _readonly(w)
 
 
 @lru_cache(maxsize=64)

@@ -28,53 +28,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common_flags(parser, *, trajectory: bool):
+# (flag, ExperimentConfig field, help): the parser, the "# config:" echo and
+# the configuration are all built from this table, and every default but the
+# trajectory seed is the ExperimentConfig default
+_FLAGS = (
+    ("steps", "steps", "time steps per run"),
+    ("runs", "runs", "independent runs"),
+    ("particles", "particles", "particle count for the particle filter"),
+    ("grid", "grid_nodes", "grid node count for the density-evolution filter"),
+    ("state-quantiles", "state_quantiles", "posterior quantile points per prediction"),
+    ("noise-points", "noise_points", "process-noise representative points"),
+    ("seed", "seed", "master seed"),
+)
+
+# a trajectory is a single run
+_TRAJECTORY_FLAGS = tuple(row for row in _FLAGS if row[0] != "runs")
+
+
+def _add_flags(parser, flags, seed: int):
     parser.add_argument(
         "--filter",
         choices=[*FILTER_ORDER, "all"],
         default="all",
         help="which filter(s) to run (default: all)",
     )
-    parser.add_argument(
-        "--steps", type=int, default=50, help="time steps per run (default: 50)"
-    )
-    if not trajectory:
+    for flag, name, text in flags:
         parser.add_argument(
-            "--runs", type=int, default=50, help="independent runs (default: 50)"
+            f"--{flag}",
+            dest=name,
+            metavar=flag.replace("-", "_").upper(),
+            type=int,
+            default=seed if name == "seed" else getattr(ExperimentConfig, name),
+            help=f"{text} (default: %(default)s)",
         )
-    parser.add_argument(
-        "--particles",
-        type=int,
-        default=100,
-        help="particle count for the particle filter (default: 100)",
-    )
-    parser.add_argument(
-        "--grid",
-        type=int,
-        default=100,
-        help="grid node count for the density-evolution filter (default: 100)",
-    )
-    parser.add_argument(
-        "--state-quantiles",
-        type=int,
-        default=16,
-        help="posterior quantile points per prediction (default: 16)",
-    )
-    parser.add_argument(
-        "--noise-points",
-        type=int,
-        default=16,
-        help="process-noise representative points (default: 16)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7 if trajectory else 42,
-        help="master seed (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--out", required=True, help="output CSV path"
-    )
+    parser.add_argument("--out", required=True, help="output CSV path")
 
 
 def _build_parser() -> _Parser:
@@ -84,51 +71,26 @@ def _build_parser() -> _Parser:
         "filter vs particle filter vs unscented Kalman filter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common_flags(
-        sub.add_parser("run", help="multi-run RMSE benchmark"), trajectory=False
-    )
-    _add_common_flags(
-        sub.add_parser("trajectory", help="single-run per-step estimates"),
-        trajectory=True,
-    )
+    run = sub.add_parser("run", help="multi-run RMSE benchmark")
+    _add_flags(run, _FLAGS, seed=ExperimentConfig.seed)
+    trajectory = sub.add_parser("trajectory", help="single-run per-step estimates")
+    _add_flags(trajectory, _TRAJECTORY_FLAGS, seed=7)
     return parser
-
-
-def _selected_filters(choice: str) -> tuple:
-    return FILTER_ORDER if choice == "all" else (choice,)
-
-
-def _config_echo(args) -> str:
-    pairs = [("filter", args.filter), ("steps", args.steps)]
-    if args.command == "run":
-        pairs.append(("runs", args.runs))
-    pairs += [
-        ("particles", args.particles),
-        ("grid", args.grid),
-        ("state-quantiles", args.state_quantiles),
-        ("noise-points", args.noise_points),
-        ("seed", args.seed),
-    ]
-    return " ".join(f"{key}={value}" for key, value in pairs)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = _FLAGS if args.command == "run" else _TRAJECTORY_FLAGS
     try:
         cfg = ExperimentConfig(
-            filters=_selected_filters(args.filter),
-            steps=args.steps,
-            runs=getattr(args, "runs", 1),
-            particles=args.particles,
-            grid_nodes=args.grid,
-            state_quantiles=args.state_quantiles,
-            noise_points=args.noise_points,
-            seed=args.seed,
+            filters=FILTER_ORDER if args.filter == "all" else (args.filter,),
+            **{name: getattr(args, name) for _, name, _ in flags},
         )
     except ValueError as err:
         print(f"pdefilter: error: {err}", file=sys.stderr)
         return 1
-    echo = _config_echo(args)
+    pairs = [("filter", args.filter)] + [(flag, getattr(args, name)) for flag, name, _ in flags]
+    echo = " ".join(f"{flag}={value}" for flag, value in pairs)
 
     if args.command == "run":
         reports = bench.run_experiment(cfg)

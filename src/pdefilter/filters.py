@@ -143,18 +143,9 @@ class PfState:
         object.__setattr__(self, "weights", wts)
 
 
-@dataclass(frozen=True)
-class UkfState:
-    """Gaussian posterior of the unscented Kalman filter."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+class UkfState(GaussianSpec):
+    """Gaussian posterior of the unscented Kalman filter; a distinct type so
+    that :func:`estimate` can tell a filter state from a model's noise."""
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,27 @@ def gaussian_pdf(x, mean, variance):
     )
 
 
+def gaussian_sum_prior(nodes, quad_weights, masses, starts, shifts, variances):
+    """Exactly transported branch bumps summed at *nodes*: the closed form of
+    the quantized-noise prior ``sum_b masses[b] g_b(x - shifts[b])``.
+
+    Branch b's bump ``g_b`` is the Gaussian of variance ``variances[b]``
+    centred on ``starts[b]`` and divided by its quadrature with
+    ``quad_weights`` over the nodes, as the package normalizes a mollified
+    delta before transport.  With ``masses = m_s w_p``, ``starts = x_s`` and
+    ``shifts = d_s + v_p`` this is ``sum_s sum_p m_s w_p N(x; x_s + d_s +
+    v_p, sigma_s^2)`` up to each bump's quadrature error.  Constant-velocity
+    advection moves a bump without changing its shape, so this is what a
+    spectral transport of the same bumps must approach.
+    """
+    x = np.asarray(nodes, dtype=float)[None, :]
+    centers = np.asarray(starts, dtype=float)[:, None]
+    std = np.sqrt(np.asarray(variances, dtype=float))[:, None]
+    norms = np.exp(-0.5 * ((x - centers) / std) ** 2) @ np.asarray(quad_weights, dtype=float)
+    moved = np.exp(-0.5 * ((x - centers - np.asarray(shifts, dtype=float)[:, None]) / std) ** 2)
+    return np.asarray(masses, dtype=float) @ (moved / norms[:, None])
+
+
 def systematic_resample(weights, n_out, u0):
     """Systematic resampling by one pointer walk over the positions.
 

@@ -1,6 +1,7 @@
 """Benchmark model, simulation, RMSE scoring, experiment harness, CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ class TestRunExperiment:
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValueError, match="unknown filter"):
             ExperimentConfig(filters=("ekf",))
+
+    @pytest.mark.parametrize(
+        "filters, message",
+        [(("pf", "pf"), "duplicate filter 'pf'"),
+         (("ukf", "pdef", "ukf"), "duplicate filter 'ukf'"),
+         ("pf", "filters must be a sequence of names, not the string 'pf'")],
+    )
+    def test_duplicate_or_bare_string_filters_rejected(self, filters, message):
+        # a repeated pf stepped twice on the run's particle stream and
+        # reported the second pass for both; "pf" was read as ("p", "f")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(filters=filters)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):

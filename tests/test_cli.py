@@ -1,8 +1,14 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from pdefilter import cli
+from pdefilter.bench import ExperimentConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_args(out, **overrides):
@@ -135,3 +141,30 @@ class TestExitCodes:
         assert "pdefilter: error: seed must be >= 0, got -1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["run", "trajectory"])
+    def test_parsed_defaults_are_experiment_config_defaults(self, command):
+        # every ExperimentConfig field but the filter list is a flag (a
+        # trajectory is one run, so it has no --runs) whose default is the
+        # field's; the trajectory's seed of 7 is the one exception
+        args = vars(cli._build_parser().parse_args([command, "--out", "x.csv"]))
+        expected = {
+            field.name: field.default
+            for field in dataclasses.fields(ExperimentConfig)
+            if field.init and field.name != "filters"
+        }
+        if command == "trajectory":
+            del expected["runs"]
+            expected["seed"] = 7
+        assert args == {"command": command, "filter": "all", "out": "x.csv", **expected}
+
+    @pytest.mark.parametrize("command", ["run", "trajectory"])
+    def test_help_matches_golden(self, monkeypatch, capsys, command):
+        # argparse wraps to the COLUMNS width
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == (DATA / f"{command}_help.txt").read_text()

@@ -12,7 +12,8 @@ from scipy.special import ndtri
 
 from pdefilter import density as dn
 from pdefilter import linalg
-from pdefilter.bench import benchmark_model
+from pdefilter import filters as flt
+from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 from pdefilter.chebyshev import Interval, SpectralGrid, barycentric_interp, barycentric_matrix
 from pdefilter.errors import DomainEscapeError, FilterDivergenceError
 from pdefilter.filters import (
@@ -22,7 +23,7 @@ from pdefilter.filters import (
     gaussian_quantile_points,
 )
 
-from _oracles import complex_transport, gaussian_pdf
+from _oracles import complex_transport, gaussian_pdf, gaussian_sum_prior
 
 
 def wide_grid(order=64, half_width=13.0):
@@ -919,6 +920,43 @@ class TestAssemblePrior:
         reference = per_branch_prior(branches, grid)
         prior = dn.assemble_prior(branches, grid)
         assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+
+    # (model, grid_nodes, state quantiles = noise points) of the benchmark's
+    # growth-table1, linear-dense and pf-wide workloads
+    @pytest.mark.parametrize(
+        "model, grid_nodes, points",
+        [(benchmark_model(), 100, 16), (linear_model(0.9), 150, 64), (benchmark_model(), 48, 4)],
+        ids=["grid100-16x16", "grid150-64x64", "grid48-4x4"],
+    )
+    def test_equals_gaussian_sum_oracle_along_a_filter_run(
+        self, monkeypatch, model, grid_nodes, points
+    ):
+        # every prior of a 50-step pdef run is within 5e-5 of its peak of the
+        # exact transport of the same bumps (measured: at most 1.3e-5,
+        # 2.9e-8 and 2.0e-5 over seven such runs of each)
+        priors = []
+
+        def recording_assemble_prior(branches, grid):
+            prior = dn.assemble_prior(branches, grid)
+            priors.append((branches, grid, prior))
+            return prior
+
+        monkeypatch.setattr(flt, "assemble_prior", recording_assemble_prior)
+        cfg = flt.PdefConfig(grid_nodes=grid_nodes, state_quantiles=points)
+        noise = gaussian_quantile_points(points, model.process_noise.variance)
+        _, observations = simulate_truth(model, 50, run_seed_streams(1, 0)[0])
+        state = flt.pdef_init(model, cfg)
+        for k, y in enumerate(observations, 1):
+            state = flt.pdef_step(state, model, noise, k, y, cfg)
+        assert len(priors) >= 50
+        for branches, grid, prior in priors:
+            starts, velocity, mass = expanded(branches)
+            sigma = [argmin_sigma(grid, start) for start in branches.start_state]
+            variances = np.repeat(np.square(sigma), points)
+            exact = gaussian_sum_prior(
+                grid.nodes, grid.physical_weights, mass, starts, velocity, variances
+            )
+            assert np.abs(prior.values - exact).max() <= 5e-5 * prior.values.max()
 
     def test_one_bump_build_per_start_group(self, monkeypatch):
         # every branch still calls mollified_delta, but only the first call
