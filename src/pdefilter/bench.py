@@ -106,11 +106,9 @@ class ExperimentConfig:
         if not self.filters:
             raise ValueError("no filters requested")
         for attr in ("steps", "runs", "particles", "noise_points"):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"{attr} must be >= 1")
-        # numpy's SeedSequence takes non-negative entropy only
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            f._set_count(self, attr, 1)
+        # numpy's SeedSequence takes non-negative integer entropy only
+        f._set_count(self, "seed", 0)
         # the density filter's configuration, built here so that the CLI
         # reports its bounds as a usage error before any run starts
         pdef = f.PdefConfig(grid_nodes=self.grid_nodes, state_quantiles=self.state_quantiles)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,6 +152,13 @@ class SpectralGrid:
     @property
     def n_nodes(self) -> int:
         return self.order + 1
+
+    @cached_property
+    def node_list(self) -> list:
+        """The physical nodes as a list of Python floats, built on first
+        use: a ``bisect`` over it and arithmetic on its entries skip numpy's
+        per-call cost on scalar work."""
+        return self.nodes.tolist()
 
 
 def barycentric_interp(grid: SpectralGrid, values, x):

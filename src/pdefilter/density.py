@@ -47,6 +47,7 @@ up to 400.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,12 +79,14 @@ _last_bump = (None, None, None)
 
 
 def _extremes(a: np.ndarray):
-    """The smallest and largest entry of a nonempty array, or the first NaN.
+    """The smallest and largest entry of a nonempty float array, as Python
+    floats, or the first NaN.
 
     Picked by index: on arrays of 100 to 150 entries numpy's ``argmin`` and
-    ``argmax`` cost about a third of ``min`` and ``max``.  Both return the
-    index of the first NaN, so a NaN still reaches the caller."""
-    return a[a.argmin()], a[a.argmax()]
+    ``argmax`` cost about a third of ``min`` and ``max``, and ``item``
+    returns a Python float without a numpy scalar in between.  Both return
+    the index of the first NaN, so a NaN still reaches the caller."""
+    return a.item(a.argmin()), a.item(a.argmax())
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class GridDensity:
             )
         # a NaN is picked as both extremes, so the two decide finiteness
         # (checked before the sign) and whether anything is tiny
-        lo, hi = map(float, _extremes(v))
+        lo, hi = _extremes(v)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("density values must be finite")
         if lo < 0.0:
@@ -152,7 +155,7 @@ class Branches:
         for name, a in zip(names, arrays):
             if not a.size:
                 continue
-            lo, hi = map(float, _extremes(a))
+            lo, hi = _extremes(a)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"branch field {name} must be finite")
             if name in ("start_mass", "noise_weight") and not (lo > 0.0 and hi <= 1.0):
@@ -220,12 +223,14 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     ``density.mollified_delta.calls`` counts calls, not builds.
     """
     global _last_bump
-    center = float(center)
     # read the entry once and replace it whole, so a concurrent caller never
     # sees a torn entry; a lost replacement only costs a rebuild
     cached_grid, cached_center, cached = _last_bump
+    # a hit costs these two tests only; a NaN equals no cached center, so it
+    # goes on to the width check and is refused there
     if grid is cached_grid and center == cached_center:
         return cached
+    center = float(center)
     # the width checks the center first
     sigma = mollification_sigma(grid, center)
     # exp(-0.5 ((x - center) / sigma)^2), built in one array
@@ -261,12 +266,15 @@ def mollification_sigma(grid: SpectralGrid, center: float) -> float:
             f"delta center {center} not strictly inside "
             f"[{grid.domain.lo}, {grid.domain.hi}]"
         )
-    nodes = grid.nodes
-    i = min(max(int(nodes.searchsorted(center)), 1), grid.order)
+    # Python floats round as numpy's float64 scalars do, and bisect_left
+    # is searchsorted's left insertion point
+    nodes = grid.node_list
+    order = grid.order
+    i = min(max(bisect_left(nodes, center), 1), order)
     j = i - 1 if abs(center - nodes[i - 1]) <= abs(nodes[i] - center) else i
-    lo, hi = max(j - 1, 0), min(j + 1, grid.order)
+    lo, hi = max(j - 1, 0), min(j + 1, order)
     # at an end node one of the two gaps is 0.0, and there is one gap to average
-    gaps = float(nodes[j] - nodes[lo]) + float(nodes[hi] - nodes[j])
+    gaps = (nodes[j] - nodes[lo]) + (nodes[hi] - nodes[j])
     return _BUMP_WIDTH * (gaps / (hi - lo))
 
 
@@ -433,7 +441,9 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
     Each branch contributes a mass-weighted mollified delta placed at its
     start state and advected exactly by its velocity over unit pseudo-time,
     so it lands on its end state.  The branches of one start share its
-    bump, so its occupied support range is found once per start.  Each
+    bump, so its occupied support range is found once per start; the
+    start's other ``mollified_delta`` calls, one per branch, only keep the
+    benchmark's traced per-branch count (README, Numerical notes).  Each
     start is screened against the boundary margin once, by its range
     shifted by its drift plus the lowest and the highest noise point:
     rounding is monotone, so the screen passes exactly when every branch of
@@ -455,30 +465,32 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
 
     lo_bound, hi_bound = _margin_bounds(grid_next)
     noise = branches.noise_value.tolist()
-    noise_lo, noise_hi = map(float, _extremes(branches.noise_value))
+    noise_lo, noise_hi = _extremes(branches.noise_value)
+    repeats = range(len(noise) - 1)
     bumps = []  # nodal values of each start's bump
     for s, (start, drift) in enumerate(
         zip(branches.start_state.tolist(), branches.drift.tolist())
     ):
+        # one mollified_delta call per branch, in order: the traced bump
+        # count of the benchmark pins it (ROADMAP item 1); a start's first
+        # call builds its bump, the rest hit the cache
+        values = mollified_delta(grid_next, start).values
+        bumps.append(values)
+        lo, hi = _support_range(grid_next, values)
+        # the start's screen: its lowest and highest velocity
+        if lo + (drift + noise_lo) >= lo_bound and hi + (drift + noise_hi) <= hi_bound:
+            for _ in repeats:
+                mollified_delta(grid_next, start)
+            continue
+        # each branch of a failing start is checked right after its call, so
+        # an escape stops the calls at the offending branch
         for p, v in enumerate(noise):
-            # one call per branch, in order: the traced bump count of the
-            # benchmark pins it (ROADMAP item 1); a start's first call builds
-            # its bump, the rest hit the cache
-            bump = mollified_delta(grid_next, start)
-            if p == 0:
-                bumps.append(bump.values)
-                lo, hi = _support_range(grid_next, bump.values)
-                # the start's screen: its lowest and highest velocity
-                clear = (
-                    lo + (drift + noise_lo) >= lo_bound
-                    and hi + (drift + noise_hi) <= hi_bound
-                )
-            if clear:
-                continue
+            if p:
+                mollified_delta(grid_next, start)
             velocity = drift + v
             if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
                 label = f"branch {s * len(noise) + p}"
-                _check_escaped_mass(grid_next, bump.values, velocity, (lo, hi), label)
+                _check_escaped_mass(grid_next, values, velocity, (lo, hi), label)
 
     scale = affine_scale(grid_next.domain)
     accum = _transport(
@@ -628,12 +640,13 @@ def _margin_bounds(grid):
 def _support_range(grid, values):
     """Lowest and highest node whose value exceeds the support threshold,
     or ``(inf, -inf)`` when there is no mass, which no shift moves out."""
-    peak = float(values[values.argmax()])
+    peak = values.item(values.argmax())
     if peak <= 0.0:
         return math.inf, -math.inf
     # the nodes ascend, so the first and last occupied ones are the range
     occupied = (values > _SUPPORT_RTOL * peak).nonzero()[0]
-    return float(grid.nodes[occupied[0]]), float(grid.nodes[occupied[-1]])
+    nodes = grid.node_list
+    return nodes[occupied[0]], nodes[occupied[-1]]
 
 
 def _check_shifted_support(grid, values, shift, label=None):

@@ -16,6 +16,7 @@ explicitly, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -163,12 +164,30 @@ class PdefConfig:
     state_quantiles: int = 16
 
     def __post_init__(self):
-        if self.grid_nodes < 4:
-            raise ValueError(f"grid_nodes must be >= 4, got {self.grid_nodes}")
-        if self.state_quantiles < 1:
-            raise ValueError(
-                f"state_quantiles must be >= 1, got {self.state_quantiles}"
-            )
+        _set_count(self, "grid_nodes", 4)
+        _set_count(self, "state_quantiles", 1)
+
+
+def _set_count(config, name: str, minimum: int) -> None:
+    """Check field *name* of a frozen dataclass as an integer of at least
+    *minimum*, and store it as a Python int.
+
+    ``operator.index`` admits ints and numpy integers but not ``2.5`` or
+    ``2.0``, which numpy would refuse only mid-run, or truncate.
+
+    Raises
+    ------
+    ValueError
+        Naming the field, if the value is not an integer or below *minimum*.
+    """
+    value = getattr(config, name)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    object.__setattr__(config, name, count)
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -241,7 +260,7 @@ def posterior_update(prior: GridDensity, likelihood_values) -> GridDensity:
         raise ValueError(
             f"likelihood shape {lik.shape} does not match grid {prior.values.shape}"
         )
-    lo, hi = map(float, density_mod._extremes(lik))
+    lo, hi = density_mod._extremes(lik)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("likelihood values must be finite")
     if lo < 0.0:

@@ -184,6 +184,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("steps", 2.5), ("runs", 2.5), ("particles", 2.5), ("noise_points", 2.0), ("seed", 1.5)],
+    )
+    def test_non_integer_count_rejected_naming_its_field(self, field, value):
+        # each was accepted and then stopped the run inside numpy
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(steps=np.int64(2), runs=np.int32(1), seed=np.uint64(3))
+        assert (cfg.steps, cfg.runs, cfg.seed) == (2, 1, 3)
+        assert all(type(v) is int for v in (cfg.steps, cfg.runs, cfg.seed))
+
     def test_negative_seed_rejected(self):
         # numpy's SeedSequence would raise later, mid-experiment
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -207,7 +221,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "bad, message",
         [({"grid_nodes": 3}, "grid_nodes must be >= 4, got 3"),
-         ({"state_quantiles": 0}, "state_quantiles must be >= 1, got 0")],
+         ({"state_quantiles": 0}, "state_quantiles must be >= 1, got 0"),
+         ({"grid_nodes": 50.5}, "grid_nodes must be an integer, got 50.5"),
+         ({"state_quantiles": 4.5}, "state_quantiles must be an integer, got 4.5")],
     )
     def test_pdef_bounds_come_from_pdef_config(self, bad, message):
         with pytest.raises(ValueError, match=message):

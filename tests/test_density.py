@@ -191,6 +191,19 @@ def screenless_prior(branches, grid):
     return dn.normalize(dn.GridDensity(grid, np.maximum(dn._unfold(accum), 0.0)))
 
 
+def assembly_outcome(assemble, branches, grid):
+    """The prior's bytes, or the message of the first escape, and the
+    ``mollified_delta`` calls made on the way, as (grid identity, center)
+    pairs in call order."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting(mp, "mollified_delta")
+        try:
+            result = assemble(branches, grid).values.tobytes()
+        except DomainEscapeError as error:
+            result = str(error)
+    return result, [(id(g), center) for g, center in calls]
+
+
 @st.composite
 def margin_straddling_products(draw):
     """Product branches on :func:`wide_grid` whose starts each put the
@@ -996,19 +1009,22 @@ class TestAssemblePrior:
     @example(case=(product_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.9]), wide_grid()))
     def test_start_screen_equals_per_branch_checks(self, case):
         # the same result bits or the same first escape, after the same
-        # mollified_delta calls, as checking every branch on its own
+        # mollified_delta calls in the same order, as checking every branch
+        # on its own
         branches, grid = case
+        assert assembly_outcome(dn.assemble_prior, branches, grid) == assembly_outcome(
+            screenless_prior, branches, grid
+        )
 
-        def outcome(assemble):
-            with pytest.MonkeyPatch.context() as mp:
-                calls = counting(mp, "mollified_delta")
-                try:
-                    result = assemble(branches, grid).values.tobytes()
-                except DomainEscapeError as error:
-                    result = str(error)
-            return result, len(calls)
-
-        assert outcome(dn.assemble_prior) == outcome(screenless_prior)
+    @pytest.mark.parametrize("case", ["linear-64x64", "growth-16x16"])
+    def test_benchmark_sized_step_equals_screenless_calls_and_bytes(self, case):
+        # every start clears its screen here, so all its calls after the
+        # first come from the bare repeat loop
+        branches, grid = prediction_step(case)
+        prior, calls = assembly_outcome(dn.assemble_prior, branches, grid)
+        assert isinstance(prior, bytes), prior
+        assert len(calls) == len(branches)
+        assert (prior, calls) == assembly_outcome(screenless_prior, branches, grid)
 
     def test_mass_sum_violation_rejected(self):
         grid = wide_grid()

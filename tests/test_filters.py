@@ -671,6 +671,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="variance must be positive and finite"):
             flt.UkfState(0.0, math.inf)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_nodes", 50.5), ("grid_nodes", 50.0), ("state_quantiles", 4.5), ("state_quantiles", "4")],
+    )
+    def test_pdef_config_rejects_a_non_integer_count(self, field, value):
+        # grid_nodes=50.5 once ran a 50-node grid with a margin sized for
+        # order 49.5; state_quantiles=4.5 stopped inside numpy
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            flt.PdefConfig(**{field: value})
+
+    def test_pdef_config_stores_numpy_integers_as_ints(self):
+        cfg = flt.PdefConfig(grid_nodes=np.int64(50), state_quantiles=np.uint8(4))
+        assert cfg == flt.PdefConfig(grid_nodes=50, state_quantiles=4)
+        assert type(cfg.grid_nodes) is int and type(cfg.state_quantiles) is int
+
     @pytest.mark.parametrize("field", ["process_noise", "obs_noise"])
     @pytest.mark.parametrize("mean", [5.0, -1e-3])
     def test_model_rejects_nonzero_noise_mean(self, field, mean):
