@@ -226,11 +226,17 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     # read the entry once and replace it whole, so a concurrent caller never
     # sees a torn entry; a lost replacement only costs a rebuild
     cached_grid, cached_center, cached = _last_bump
-    # a hit costs these two tests only; a NaN equals no cached center, so it
+    # the entry holds the center as a Python float.  That same object passed
+    # back, as assemble_prior does for each branch of a start, hits on two
+    # identity tests; any other center is widened to a Python float before
+    # it is compared, since under numpy 2's scalar rules np.float32(0.1) ==
+    # 0.1 holds.  A NaN is never cached and equals no cached center, so it
     # goes on to the width check and is refused there
-    if grid is cached_grid and center == cached_center:
+    if grid is cached_grid and center is cached_center:
         return cached
     center = float(center)
+    if grid is cached_grid and center == cached_center:
+        return cached
     # the width checks the center first
     sigma = mollification_sigma(grid, center)
     # exp(-0.5 ((x - center) / sigma)^2), built in one array

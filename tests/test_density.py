@@ -333,6 +333,17 @@ class TestMollifiedDelta:
         assert bump.grid is args[0]
         assert bump.values.tobytes() == fresh_bump(*args).values.tobytes()
 
+    def test_float32_center_misses_the_equal_python_float(self):
+        # np.float32(0.1) == 0.1 under numpy 2's scalar rules, yet it
+        # stands for 0.10000000149..., so it must get its own bump
+        grid = wide_grid()
+        first = dn.mollified_delta(grid, 0.1)
+        bump = dn.mollified_delta(grid, np.float32(0.1))
+        expected = fresh_bump(grid, float(np.float32(0.1)))
+        assert bump is not first
+        assert bump.values.tobytes() == expected.values.tobytes()
+        assert bump.values.tobytes() != first.values.tobytes()
+
     def test_center_outside_rejected_after_a_cached_call(self):
         grid = wide_grid()
         dn.mollified_delta(grid, 0.8)

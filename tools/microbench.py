@@ -1,12 +1,12 @@
 """In-process timings of the density filter's prediction layers.
 
-    PYTHONPATH=src python tools/microbench.py [--repeat N] [--seed S] [--json]
+    PYTHONPATH=src python tools/microbench.py [--repeat N] [--json]
 
 At each of the three benchmark sizes (grid 100 with 16 x 16 branches on the
 growth model, grid 150 with 64 x 64 on the linear model, grid 48 with 4 x 4
-on the growth model) one seeded pdef run of ``STEPS`` steps fixes the
-inputs: the posterior entering its last step and the branches and grid of
-that step's successful ``assemble_prior`` call.  On those inputs it times
+on the growth model) one pdef run of ``STEPS`` steps at seed ``SEED`` fixes
+the inputs: the posterior entering its last step and the branches and grid
+of that step's successful ``assemble_prior`` call.  On those inputs it times
 
 - ``assemble_prior``, the whole prior assembly of the step;
 - ``_transport``, the eigen-rotation of the step's bumps alone;
@@ -35,6 +35,7 @@ from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 from pdefilter.chebyshev import affine_scale
 
 STEPS = 20
+SEED = 1
 
 # consecutive cache hits per timed call, as assemble_prior makes them
 HITS = range(100)
@@ -59,12 +60,12 @@ def linear_model() -> flt.ScalarStateModel:
     )
 
 
-def step_inputs(model, grid_nodes: int, points: int, seed: int):
+def step_inputs(model, grid_nodes: int, points: int):
     """The posterior entering the last step of a seeded pdef run, and the
     branches and grid of that step's successful ``assemble_prior`` call."""
     cfg = flt.PdefConfig(grid_nodes=grid_nodes, state_quantiles=points)
     noise = flt.gaussian_quantile_points(points, model.process_noise.variance)
-    _, observations = simulate_truth(model, STEPS, run_seed_streams(seed, 0)[0])
+    _, observations = simulate_truth(model, STEPS, run_seed_streams(SEED, 0)[0])
     calls = []
 
     def recording(branches, grid):
@@ -92,8 +93,8 @@ def best_us(call, repeat: int) -> float:
     return 1e6 * min(timer.repeat(repeat, number)) / number
 
 
-def size_timings(model, grid_nodes: int, points: int, seed: int, repeat: int) -> dict:
-    posterior, branches, grid = step_inputs(model, grid_nodes, points, seed)
+def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
+    posterior, branches, grid = step_inputs(model, grid_nodes, points)
     probs = (2.0 * np.arange(points) + 1.0) / (2.0 * points)
     scale = affine_scale(grid.domain)
     starts = branches.start_state.tolist()
@@ -106,40 +107,35 @@ def size_timings(model, grid_nodes: int, points: int, seed: int, repeat: int) ->
         dn.mollified_delta(grid, b)
 
     def hits():
+        # only the very first call builds (the bump builds leave b cached),
+        # and it falls in best_us's untimed autorange calls
         for _ in HITS:
             dn.mollified_delta(grid, a)
 
+    # layer: (timed call, calls of the layer it makes)
     layers = {
-        "assemble_prior": lambda: dn.assemble_prior(branches, grid),
-        "_transport": lambda: dn._transport(
+        "assemble_prior": (lambda: dn.assemble_prior(branches, grid), 1),
+        "_transport": (lambda: dn._transport(
             grid.order, folded, scale * branches.drift, branches.start_mass,
             scale * branches.noise_value, branches.noise_weight,
-        ),
-        "density_quantiles": lambda: dn.density_quantiles(posterior, probs),
-        "bump build": builds,
-        "cache hit": hits,
+        ), 1),
+        "density_quantiles": (lambda: dn.density_quantiles(posterior, probs), 1),
+        "bump build": (builds, 2),
+        "cache hit": (hits, len(HITS)),
     }
-    out = {}
-    for name, call in layers.items():
-        if name == "cache hit":
-            dn.mollified_delta(grid, a)
-        out[name] = best_us(call, repeat)
-    out["bump build"] /= 2.0
-    out["cache hit"] /= len(HITS)
-    return out
+    return {name: best_us(call, repeat) / n for name, (call, n) in layers.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed rounds per layer (default 7)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the pdef runs (default 1)")
     parser.add_argument("--json", action="store_true", help="print one JSON object instead of a table")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
     models = {"growth": benchmark_model, "linear": linear_model}
     results = {
-        label: size_timings(models[model](), nodes, points, args.seed, args.repeat)
+        label: size_timings(models[model](), nodes, points, args.repeat)
         for label, model, nodes, points in SIZES
     }
     if args.json:
