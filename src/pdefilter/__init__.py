@@ -8,7 +8,7 @@ Kalman filtering on the classic scalar growth model.
 """
 
 from .chebyshev import Interval, SpectralGrid
-from .density import Branches, GridDensity, advect_step, assemble_prior, integrate, mean, mollified_delta, normalize
+from .density import Branches, GridDensity, assemble_prior, integrate, mean, mollified_delta, normalize
 from .errors import (
     DomainEscapeError,
     FilterDivergenceError,
@@ -66,7 +66,6 @@ __all__ = [
     "TrajectoryRecord",
     "UkfState",
     "WeightUnderflowError",
-    "advect_step",
     "assemble_prior",
     "benchmark_model",
     "estimate",

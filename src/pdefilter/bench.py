@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filters as f
+from .chebyshev import checked_count
 from .errors import DomainEscapeError, FilterDivergenceError, WeightUnderflowError
 
 FILTER_ORDER = ("ukf", "pf", "pdef")
@@ -47,8 +48,7 @@ def simulate_truth(
     with a fresh observation-noise draw.  Returns ``(truth, observations)``
     arrays for steps 1..steps.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = checked_count("steps", steps, 1)
     x = rng.normal(model.initial.mean, model.initial.std)
     truth = np.empty(steps)
     obs = np.empty(steps)

@@ -20,6 +20,7 @@ diagonal), which also pins the corner magnitudes to ``(2 N^2 + 1) / 6``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,10 +69,12 @@ def affine_scale(domain: Interval) -> float:
 
 def gauss_lobatto_nodes(order: int) -> np.ndarray:
     """Chebyshev Gauss-Lobatto nodes -cos(pi j / order), ascending in [-1, 1]."""
-    return _reference_nodes(_checked_order(order)).copy()
+    return _reference_nodes(checked_count("order", order, 1)).copy()
 
 
-@lru_cache(maxsize=32)
+# typed, so that a cached order-4 result never answers diff_matrix(4.0),
+# which the order check refuses
+@lru_cache(maxsize=32, typed=True)
 def diff_matrix(order: int) -> np.ndarray:
     """Spectral differentiation matrix on the Gauss-Lobatto nodes.
 
@@ -79,7 +82,7 @@ def diff_matrix(order: int) -> np.ndarray:
     matrix returns samples of the exact derivative (up to rounding).  The
     returned array is a cached read-only view; copy before modifying.
     """
-    order = _checked_order(order)
+    order = checked_count("order", order, 1)
     x = _reference_nodes(order)
     lam = _bary_weights(order)
     diff = x[:, None] - x[None, :]
@@ -91,7 +94,8 @@ def diff_matrix(order: int) -> np.ndarray:
     return _readonly(d)
 
 
-@lru_cache(maxsize=64)
+# typed for the same reason as diff_matrix
+@lru_cache(maxsize=64, typed=True)
 def cc_weights(order: int) -> np.ndarray:
     """Clenshaw-Curtis quadrature weights on the Gauss-Lobatto nodes.
 
@@ -100,7 +104,7 @@ def cc_weights(order: int) -> np.ndarray:
     polynomials of degree <= order, and all weights are positive.  Cached,
     read-only.
     """
-    order = _checked_order(order)
+    order = checked_count("order", order, 1)
     j = np.arange(order + 1)
     w = np.zeros(order + 1)
     for m in range(order // 2 + 1):
@@ -142,7 +146,7 @@ class SpectralGrid:
 
     @classmethod
     def build(cls, order: int, domain: Interval) -> "SpectralGrid":
-        order = _checked_order(order)
+        order = checked_count("order", order, 1)
         ref = _reference_nodes(order)
         qw = cc_weights(order)
         nodes = _readonly(affine_unmap(domain, ref))
@@ -196,7 +200,7 @@ def barycentric_matrix(order: int, xi) -> np.ndarray:
     in [-1, 1]: the barycentric quotient with its denominator divided in,
     or the unit row of the node that ``xi[i]`` hits exactly.
     """
-    order = _checked_order(order)
+    order = checked_count("order", order, 1)
     xi = np.asarray(xi, dtype=float)
     diff = xi[:, None] - _reference_nodes(order)[None, :]
     hit = np.abs(diff) < 1e-15
@@ -208,11 +212,26 @@ def barycentric_matrix(order: int, xi) -> np.ndarray:
     return kernel
 
 
-def _checked_order(order: int) -> int:
-    order = int(order)
-    if order < 1:
-        raise ValueError(f"grid order must be >= 1, got {order}")
-    return order
+def checked_count(name: str, value, minimum: int) -> int:
+    """*value*, the count argument *name*, as a Python int of at least
+    *minimum*: the one integer check of the package.
+
+    ``operator.index`` admits ints and numpy integers but not ``2.5``,
+    ``2.0`` or ``"2"``, which ``int()`` would truncate or parse and numpy
+    would refuse only mid-run.
+
+    Raises
+    ------
+    ValueError
+        Naming *name*, if *value* is not an integer or is below *minimum*.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -53,7 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import Interval, SpectralGrid, affine_scale, barycentric_matrix, diff_matrix
+from .chebyshev import (
+    Interval, SpectralGrid, affine_scale, barycentric_matrix, checked_count, diff_matrix,
+)
 from .errors import DomainEscapeError, FilterDivergenceError
 
 # unused here, but perfbench/tracer.py rebinds it on this module for traced runs
@@ -284,31 +286,6 @@ def mollification_sigma(grid: SpectralGrid, center: float) -> float:
     return _BUMP_WIDTH * (gaps / (hi - lo))
 
 
-def advect_step(density: GridDensity, velocity: float) -> GridDensity:
-    """Transport a density at constant velocity for one pseudo-time unit.
-
-    Returns ``expm(L)`` applied to the nodal values, with the periodic
-    endpoint identification folded into L and any negative ringing clipped
-    to zero.  The propagator is the cached spectral one that
-    :func:`assemble_prior` uses.  The result is *not* renormalized; callers
-    compose masses.
-
-    Raises
-    ------
-    DomainEscapeError
-        If more than 1e-6 of the mass would come within two nominal node
-        spacings of either boundary.
-    """
-    velocity = float(velocity)
-    if not math.isfinite(velocity):
-        raise ValueError("velocity must be finite")
-    grid = density.grid
-    _check_shifted_support(grid, density.values, velocity)
-    shift = velocity * affine_scale(grid.domain)
-    moved = _transport(grid.order, _fold(density.values)[None, :], [shift], [1.0])
-    return GridDensity(grid, np.maximum(_unfold(moved), 0.0))
-
-
 def folded_generator(grid: SpectralGrid, velocity: float) -> np.ndarray:
     """Advection generator ``-v_ref D`` with the endpoints identified.
 
@@ -368,8 +345,7 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
         If the posterior has no mass or the transition returns a non-finite
         value.
     """
-    if state_points < 1:
-        raise ValueError(f"state_points must be >= 1, got {state_points}")
+    state_points = checked_count("state_points", state_points, 1)
     if np.size(noise.points) == 0:
         raise ValueError("noise quantization is empty")
     if not integrate(posterior) > _MASS_FLOOR:
@@ -499,16 +475,15 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
                 _check_escaped_mass(grid_next, values, velocity, (lo, hi), label)
 
     scale = affine_scale(grid_next.domain)
-    accum = _transport(
+    moved = _transport(
         grid_next.order,
-        _fold(np.array(bumps)),
+        np.array(bumps),
         scale * branches.drift,
         branches.start_mass,
         scale * branches.noise_value,
         branches.noise_weight,
     )
-    values = np.maximum(_unfold(accum), 0.0)
-    return normalize(GridDensity(grid_next, values))
+    return normalize(GridDensity(grid_next, np.maximum(moved, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -583,31 +558,37 @@ def _eigensystem(order: int) -> _Eigensystem:
 
 
 def _transport(
-    order: int, folded: np.ndarray, shifts, weights,
-    noise_shifts=(0.0,), noise_weights=(1.0,),
+    order: int, bumps: np.ndarray, shifts, weights, noise_shifts, noise_weights
 ) -> np.ndarray:
     """``sum_p sum_b noise_weights[p] weights[b] expm((shifts[b] +
-    noise_shifts[p]) F_N) folded[b]``, the one propagator of this module.
+    noise_shifts[p]) F_N)`` applied to row b of *bumps*, the one propagator
+    of this module.
 
-    *folded* holds one folded vector per row; shifts are reference-interval
-    distances (velocity times scale times pseudo-time).  The propagators
-    commute, so the double sum factors: each row is taken to
-    eigen-coordinates once and rotated by its weight and ``exp(i shift
-    omega)``, the rows are summed, and the sum is multiplied by the noise
-    factor ``sum_p noise_weights[p] exp(i noise_shifts[p] omega)`` (one by
-    default) before the single transform back.  Both transforms are real
-    products and the rotations of all S + P phase rows come from one real
-    tangent of each half angle (:func:`_rotation`); no cosine, sine or
-    complex exponential is taken.
+    *bumps* holds N + 1 nodal values per row and the result is N + 1 nodal
+    values; shifts are reference-interval distances (velocity times scale
+    times pseudo-time).  ``F_N`` acts on folded vectors, so each row is
+    folded first (the seam value, the average of its two end values, then
+    its interior values) and the result's seam value is copied to both
+    ends.  The propagators commute, so the double sum factors: each row is
+    taken to eigen-coordinates once and rotated by its weight and ``exp(i
+    shift omega)``, the rows are summed, and the sum is multiplied by the
+    noise factor ``sum_p noise_weights[p] exp(i noise_shifts[p] omega)``
+    before the single transform back.  Both transforms are real products and
+    the rotations of all S + P phase rows come from one real tangent of each
+    half angle (:func:`_rotation`); no cosine, sine or complex exponential
+    is taken.
     """
     eig = _eigensystem(order)
+    folded = bumps[:, :-1].copy()
+    folded[:, 0] = 0.5 * (bumps[:, 0] + bumps[:, -1])
     starts = len(shifts)
     rotation = _rotation(
         np.multiply.outer(np.concatenate((shifts, noise_shifts)), eig.half_omega)
     )
     coords = (folded @ eig.w).view(complex)
     z = (weights @ (rotation[:starts] * coords)) * (noise_weights @ rotation[starts:])
-    return eig.v @ z.view(float)
+    seam_first = eig.v @ z.view(float)
+    return np.concatenate([seam_first, seam_first[:1]])
 
 
 def _rotation(half_angle: np.ndarray) -> np.ndarray:
@@ -623,17 +604,6 @@ def _rotation(half_angle: np.ndarray) -> np.ndarray:
     np.subtract(d, 1.0, out=rotation.real)
     np.multiply(u, d, out=rotation.imag)
     return rotation
-
-
-def _fold(values: np.ndarray) -> np.ndarray:
-    """Nodal values (last axis) to folded vectors: seam average, interior."""
-    folded = values[..., :-1].copy()
-    folded[..., 0] = 0.5 * (values[..., 0] + values[..., -1])
-    return folded
-
-
-def _unfold(folded: np.ndarray) -> np.ndarray:
-    return np.concatenate([folded, folded[:1]])
 
 
 def _margin_bounds(grid):
@@ -655,19 +625,12 @@ def _support_range(grid, values):
     return nodes[occupied[0]], nodes[occupied[-1]]
 
 
-def _check_shifted_support(grid, values, shift, label=None):
-    lo_bound, hi_bound = _margin_bounds(grid)
-    support = _support_range(grid, values)
-    if support[0] + shift >= lo_bound and support[1] + shift <= hi_bound:
-        return
-    _check_escaped_mass(grid, values, shift, support, label)
-
-
 def _check_escaped_mass(grid, values, shift, support, label):
     """Raise unless at most 1e-6 of the mass of *values* shifted by *shift*
-    lands outside the margin bounds; *support* is the unshifted range."""
-    # the pointwise support picks up harmless spectral ringing on densities
-    # that have been advected before; only raise when actual mass crosses
+    lands outside the margin bounds; *support* is the unshifted range and
+    *label* names the branch in the message."""
+    # the 1e-12-of-peak support reaches far into tails that hold no
+    # measurable mass; only raise when actual mass crosses
     lo_bound, hi_bound = _margin_bounds(grid)
     shifted = grid.nodes + shift
     outside = (shifted < lo_bound) | (shifted > hi_bound)
@@ -675,9 +638,8 @@ def _check_escaped_mass(grid, values, shift, support, label):
     total = float(grid.physical_weights @ values)
     if escaped > 1e-6 * total:
         lo, hi = support[0] + shift, support[1] + shift
-        who = f" for {label}" if label else ""
         raise DomainEscapeError(
-            f"advected support [{lo:.4g}, {hi:.4g}]{who} crosses the "
+            f"advected support [{lo:.4g}, {hi:.4g}] for {label} crosses the "
             f"boundary margin of [{grid.domain.lo:.4g}, {grid.domain.hi:.4g}]"
             "; widen the domain selection"
         )

@@ -19,7 +19,7 @@ class DomainEscapeError(RuntimeError):
     """Raised when an advected density would cross the grid boundary margin.
 
     The fix is almost always to widen the domain used for the prediction
-    step; the message names the offending branch when known.
+    step; the message names the offending branch.
     """
 
 

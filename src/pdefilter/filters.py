@@ -16,14 +16,13 @@ explicitly, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from . import density as density_mod
-from .chebyshev import Interval, SpectralGrid
+from .chebyshev import Interval, SpectralGrid, checked_count
 from .density import GridDensity, assemble_prior, make_branches, model_output, prediction_domain
 from .errors import DomainEscapeError, FilterDivergenceError, WeightUnderflowError
 
@@ -169,25 +168,10 @@ class PdefConfig:
 
 
 def _set_count(config, name: str, minimum: int) -> None:
-    """Check field *name* of a frozen dataclass as an integer of at least
-    *minimum*, and store it as a Python int.
-
-    ``operator.index`` admits ints and numpy integers but not ``2.5`` or
-    ``2.0``, which numpy would refuse only mid-run, or truncate.
-
-    Raises
-    ------
-    ValueError
-        Naming the field, if the value is not an integer or below *minimum*.
-    """
-    value = getattr(config, name)
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {count}")
-    object.__setattr__(config, name, count)
+    """Check field *name* of a frozen dataclass with
+    :func:`~pdefilter.chebyshev.checked_count` and store it as a Python
+    int."""
+    object.__setattr__(config, name, checked_count(name, getattr(config, name), minimum))
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -202,8 +186,7 @@ def gaussian_quantile_points(n: int, variance: float) -> NoiseQuantization:
     AS241 rational approximations), within 6 ulps of the exact quantile for
     every n up to 256; n = 1 gives exactly 0.
     """
-    if n < 1:
-        raise ValueError(f"need at least one point, got {n}")
+    n = checked_count("n", n, 1)
     if not variance > 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
     probs = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
@@ -330,8 +313,7 @@ def pdef_step(
 
 def pf_init(model: ScalarStateModel, n_particles: int, rng: np.random.Generator) -> PfState:
     """Draw the initial particle cloud from the model's initial Gaussian."""
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    n_particles = checked_count("n_particles", n_particles, 1)
     particles = rng.normal(model.initial.mean, model.initial.std, n_particles)
     return PfState(particles, np.full(n_particles, 1.0 / n_particles))
 
@@ -413,7 +395,8 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     ------
     ValueError
         If the weights are empty, NaN, infinite or negative, or do not sum
-        to 1 within 1e-9; if ``u0`` is outside [0, 1) or ``n_out < 1``.
+        to 1 within 1e-9; if ``u0`` is outside [0, 1); if ``n_out`` is not an
+        integer of at least 1.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
@@ -425,8 +408,7 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
         raise ValueError(f"weights sum to {total!r}, expected 1")
     if not 0.0 <= u0 < 1.0:
         raise ValueError(f"u0 must lie in [0, 1), got {u0}")
-    if n_out < 1:
-        raise ValueError(f"n_out must be >= 1, got {n_out}")
+    n_out = checked_count("n_out", n_out, 1)
     # the last index takes every position at or past the second-to-last
     # cumulative weight, also one that rounds up to 1.0
     inner = np.cumsum(w[:-1])

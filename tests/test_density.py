@@ -64,22 +64,30 @@ def expm_prior(branches, grid):
 
 def per_branch_prior(branches, grid):
     """Reference prior without the product: per branch one bump, one support
-    check and one projected row, all S x P rows transported by their own
-    velocity in a single batch with no noise factor."""
+    check and one row, all S x P rows transported by their own velocity in
+    a single batch with a unit noise factor."""
     starts, velocity, mass = expanded(branches)
+    lo_bound, hi_bound = dn._margin_bounds(grid)
     bumps = []
     for i, (start, v) in enumerate(zip(starts, velocity)):
         bump = dn.mollified_delta(grid, start).values
-        dn._check_shifted_support(grid, bump, v, f"branch {i}")
+        lo, hi = dn._support_range(grid, bump)
+        if not (lo + v >= lo_bound and hi + v <= hi_bound):
+            dn._check_escaped_mass(grid, bump, v, (lo, hi), f"branch {i}")
         bumps.append(bump)
-    accum = dn._transport(
-        grid.order,
-        dn._fold(np.array(bumps)),
-        dn.affine_scale(grid.domain) * velocity,
-        mass,
+    values = dn._transport(
+        grid.order, np.array(bumps), dn.affine_scale(grid.domain) * velocity, mass, [0.0], [1.0]
     )
-    values = np.clip(dn._unfold(accum), 0.0, None)
-    return dn.normalize(dn.GridDensity(grid, values))
+    return dn.normalize(dn.GridDensity(grid, np.clip(values, 0.0, None)))
+
+
+def advected(density, velocity):
+    """*density* moved at *velocity* over unit pseudo-time by the one
+    transport, as a single row with a unit noise factor, ringing clipped."""
+    grid = density.grid
+    shift = velocity * dn.affine_scale(grid.domain)
+    values = dn._transport(grid.order, density.values[None, :], [shift], [1.0], [0.0], [1.0])
+    return dn.GridDensity(grid, np.maximum(values, 0.0))
 
 
 def fresh_bump(grid, center):
@@ -180,15 +188,15 @@ def screenless_prior(branches, grid):
                 label = f"branch {s * len(noise) + p}"
                 dn._check_escaped_mass(grid, bump.values, velocity, (lo, hi), label)
     scale = dn.affine_scale(grid.domain)
-    accum = dn._transport(
+    values = dn._transport(
         grid.order,
-        dn._fold(np.array(bumps)),
+        np.array(bumps),
         scale * branches.drift,
         branches.start_mass,
         scale * branches.noise_value,
         branches.noise_weight,
     )
-    return dn.normalize(dn.GridDensity(grid, np.maximum(dn._unfold(accum), 0.0)))
+    return dn.normalize(dn.GridDensity(grid, np.maximum(values, 0.0)))
 
 
 def assembly_outcome(assemble, branches, grid):
@@ -464,43 +472,33 @@ class TestMollificationSigma:
 
 
 class TestAdvectStep:
+    # one advection step of a whole density through the module's one
+    # propagator (advected), with the inputs and bounds these properties
+    # have always been checked at
     def test_zero_velocity_is_identity(self):
         grid = wide_grid()
         start = gaussian_density(grid, -2.0, 1.0)
-        # zero shift needs a positive-velocity epsilon? no: velocity 0 allowed
-        out = dn.advect_step(start, 0.0)
+        out = advected(start, 0.0)
         assert np.abs(out.values - start.values).max() <= 1e-10
 
     def test_translates_gaussian(self):
         grid = wide_grid()
         start = gaussian_density(grid, -3.0, 1.0)
-        moved = dn.advect_step(start, 6.0)
+        moved = advected(start, 6.0)
         expected = gaussian_pdf(grid.nodes, 3.0, 1.0)
         assert np.abs(moved.values - expected).max() <= 1e-3
 
     def test_mass_preserved_within_two_percent(self):
         grid = wide_grid()
         start = gaussian_density(grid, -3.0, 1.0)
-        moved = dn.advect_step(start, 6.0)
+        moved = advected(start, 6.0)
         assert dn.integrate(moved) == pytest.approx(1.0, rel=0.02)
 
     def test_reversibility(self):
         grid = wide_grid()
         start = gaussian_density(grid, -2.0, 1.44)
-        back = dn.advect_step(dn.advect_step(start, 4.5), -4.5)
+        back = advected(advected(start, 4.5), -4.5)
         assert np.abs(back.values - start.values).max() <= 1e-6
-
-    def test_boundary_escape_raises(self):
-        grid = wide_grid()
-        start = gaussian_density(grid, 3.0, 1.0)
-        with pytest.raises(DomainEscapeError, match="widen the domain"):
-            dn.advect_step(start, 8.0)
-
-    def test_nonfinite_velocity_rejected(self):
-        grid = wide_grid()
-        start = gaussian_density(grid, 0.0, 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            dn.advect_step(start, np.inf)
 
 
 class TestSpectralPropagator:
@@ -511,9 +509,13 @@ class TestSpectralPropagator:
     def test_matches_expm(self, order, scale):
         unit = SpectralGrid.build(order, Interval(-1.0, 1.0))
         expected = linalg.expm(dn.folded_generator(unit, scale))
-        eye = np.eye(order)
+        # nodal rows that fold to the unit vectors: row 0 has both ends 1,
+        # so its seam value is 1; each result's seam value comes first
+        basis = np.eye(order + 1)
+        basis[0, order] = 1.0
         got = np.column_stack(
-            [dn._transport(order, eye[j:j + 1], [scale], [1.0]) for j in range(order)]
+            [dn._transport(order, basis[j:j + 1], [scale], [1.0], [0.0], [1.0])[:-1]
+             for j in range(order)]
         )
         rel = linalg.one_norm(got - expected) / linalg.one_norm(expected)
         assert rel <= 1e-9
@@ -545,9 +547,14 @@ class TestSpectralPropagator:
         weights, noise_weights = rng.uniform(0.1, 1.0, starts), rng.uniform(0.1, 1.0, noise)
         weights /= weights.sum()
         noise_weights /= noise_weights.sum()
-        args = (dn._fold(bumps), shifts, weights, noise_shifts, noise_weights)
-        got = dn._transport(order, *args)
-        expected = complex_transport(dn.folded_generator(unit, 1.0), *args)
+        got = dn._transport(order, bumps, shifts, weights, noise_shifts, noise_weights)
+        # the oracle works on folded vectors: seam value first, then the
+        # interior, and it returns the seam value once
+        folded = np.column_stack([0.5 * (bumps[:, 0] + bumps[:, -1]), bumps[:, 1:-1]])
+        expected = complex_transport(
+            dn.folded_generator(unit, 1.0), folded, shifts, weights, noise_shifts, noise_weights
+        )
+        expected = np.append(expected, expected[0])
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_tangent_rotation_equals_cosine_and_sine(self):
@@ -577,18 +584,42 @@ class TestSpectralPropagator:
     def test_batch_is_weighted_sum_of_single_transports(self):
         # every row moves by its own shift plus each noise shift in turn
         rng = np.random.default_rng(5)
-        folded = rng.normal(size=(3, 30))
+        rows = rng.normal(size=(3, 31))
         shifts = np.array([-0.7, 0.1, 2.5])
         weights = np.array([0.2, 0.3, 0.5])
         noise_shifts = np.array([-0.4, 0.0, 1.3])
         noise_weights = np.array([0.25, 0.5, 0.25])
-        batch = dn._transport(30, folded, shifts, weights, noise_shifts, noise_weights)
+        batch = dn._transport(30, rows, shifts, weights, noise_shifts, noise_weights)
         singles = sum(
-            w * u * dn._transport(30, row[None, :], [t + n], [1.0])
-            for row, t, w in zip(folded, shifts, weights)
+            w * u * dn._transport(30, row[None, :], [t + n], [1.0], [0.0], [1.0])
+            for row, t, w in zip(rows, shifts, weights)
             for n, u in zip(noise_shifts, noise_weights)
         )
         assert np.abs(batch - singles).max() <= 1e-12
+
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    def test_ends_of_the_result_are_equal(self, order):
+        # the two end nodes are one point of the periodic domain
+        rng = np.random.default_rng(order)
+        rows = rng.uniform(0.0, 1.0, (4, order + 1))
+        args = rng.uniform(-0.5, 0.5, 4), np.full(4, 0.25), [-0.1, 0.2], [0.5, 0.5]
+        got = dn._transport(order, rows, *args)
+        assert got.shape == (order + 1,)
+        assert got[0].tobytes() == got[-1].tobytes()
+
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    def test_only_the_sum_of_the_end_values_counts(self, order):
+        # the two end values enter as their average, so moving mass between
+        # them with their float sum unchanged leaves every output byte
+        rng = np.random.default_rng(order)
+        rows = rng.uniform(0.0, 1.0, (4, order + 1))
+        rows[:, [0, -1]] = [[0.25, 0.5], [0.0, 1.0], [1.5, 0.125], [0.375, 0.375]]
+        moved = rows.copy()
+        moved[:, [0, -1]] = [[0.5, 0.25], [1.0, 0.0], [0.125, 1.5], [0.75, 0.0]]
+        assert (moved[:, 0] + moved[:, -1]).tolist() == (rows[:, 0] + rows[:, -1]).tolist()
+        args = rng.uniform(-0.5, 0.5, 4), np.full(4, 0.25), [-0.1, 0.2], [0.5, 0.5]
+        got = dn._transport(order, moved, *args)
+        assert got.tobytes() == dn._transport(order, rows, *args).tobytes()
 
 
 class TestBranches:

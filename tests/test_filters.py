@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pdefilter import density as dn
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, simulate_truth
-from pdefilter.chebyshev import Interval, SpectralGrid
+from pdefilter.chebyshev import Interval, SpectralGrid, diff_matrix, gauss_lobatto_nodes
 from pdefilter.errors import (
     DomainEscapeError,
     FilterDivergenceError,
@@ -286,6 +286,41 @@ class TestPdefStep:
         assert f"final margin scale {1.6 ** 5:.4g}" in message
         assert "grid_nodes=16" in message
         assert isinstance(info.value.__cause__, DomainEscapeError)
+
+    def test_retried_step_equals_assembly_at_its_margin_scale(self, monkeypatch):
+        # at 48 nodes with 4 x 4 branches the first prediction from the
+        # initial Gaussian trips the boundary margin and passes on a retry
+        model = benchmark_model()
+        cfg = flt.PdefConfig(grid_nodes=48, state_quantiles=4)
+        noise = flt.gaussian_quantile_points(4, model.process_noise.variance)
+        state = flt.pdef_init(model, cfg)
+        outcomes = []
+        original = flt.assemble_prior
+
+        def recording(branches, grid):
+            try:
+                prior = original(branches, grid)
+            except DomainEscapeError:
+                outcomes.append("escape")
+                raise
+            outcomes.append("prior")
+            return prior
+
+        monkeypatch.setattr(flt, "assemble_prior", recording)
+        stepped = flt.pdef_step(state, model, noise, 1, 0.5, cfg)
+        monkeypatch.undo()
+        attempts = len(outcomes)
+        assert attempts >= 2 and outcomes == ["escape"] * (attempts - 1) + ["prior"]
+
+        branches = dn.make_branches(state.posterior, noise, model, 1, 4)
+        scale = 1.6 ** (attempts - 1)
+        domain = dn.prediction_domain(branches, 47, model.process_noise.std, scale)
+        grid = SpectralGrid.build(47, domain)
+        predicted = model.observation(grid.nodes, 1)
+        lik = flt.gaussian_likelihood(0.5, predicted, model.obs_noise.variance)
+        expected = flt.posterior_update(dn.assemble_prior(branches, grid), lik)
+        assert stepped.posterior.grid.nodes.tobytes() == expected.grid.nodes.tobytes()
+        assert stepped.posterior.values.tobytes() == expected.values.tobytes()
 
 
 class TestParticleFilter:
@@ -611,6 +646,40 @@ class TestEstimate:
     def test_rejects_unknown_state(self):
         with pytest.raises(TypeError):
             flt.estimate(object())
+
+
+def growth_branches(state_points):
+    model = benchmark_model()
+    noise = flt.gaussian_quantile_points(4, model.process_noise.variance)
+    return dn.make_branches(flt.pdef_init(model).posterior, noise, model, 1, state_points)
+
+
+# (call on a generator, argument it must name, its value): each count argument that
+# int() truncated or parsed, or that failed later inside numpy or statistics
+NON_INTEGER_COUNTS = {
+    "systematic_resample": (
+        lambda rng: flt.systematic_resample([0.5, 0.5], 2.5, 0.3), "n_out", 2.5
+    ),
+    "SpectralGrid.build": (
+        lambda rng: SpectralGrid.build(9.7, Interval(-1.0, 1.0)), "order", 9.7
+    ),
+    "diff_matrix": (lambda rng: diff_matrix(4.5), "order", 4.5),
+    "diff_matrix cached": (lambda rng: (diff_matrix(4), diff_matrix(4.0)), "order", 4.0),
+    "gauss_lobatto_nodes": (lambda rng: gauss_lobatto_nodes("4"), "order", "4"),
+    "gaussian_quantile_points": (lambda rng: flt.gaussian_quantile_points(2.5, 1.0), "n", 2.5),
+    "pf_init": (lambda rng: flt.pf_init(benchmark_model(), 2.5, rng), "n_particles", 2.5),
+    "simulate_truth": (lambda rng: simulate_truth(benchmark_model(), 2.5, rng), "steps", 2.5),
+    "make_branches": (lambda rng: growth_branches(2.5), "state_points", 2.5),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_count_is_named_before_any_draw(case):
+    call, name, value = case
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(rng)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestValidation:

@@ -9,7 +9,8 @@ the inputs: the posterior entering its last step and the branches and grid
 of that step's successful ``assemble_prior`` call.  On those inputs it times
 
 - ``assemble_prior``, the whole prior assembly of the step;
-- ``_transport``, the eigen-rotation of the step's bumps alone;
+- ``_transport``, the transport alone, on the array of the step's nodal
+  bumps (one row per start, folded and unfolded inside ``_transport``);
 - ``density_quantiles``, the start states of the step;
 - one bump build, ``mollified_delta`` on a center it did not see last;
 - one cache hit, ``mollified_delta`` on the center it saw last, timed
@@ -18,7 +19,8 @@ of that step's successful ``assemble_prior`` call.  On those inputs it times
 and prints the best time per call over ``--repeat`` rounds, in
 microseconds.  Each round runs as many calls as fill about 0.2 s.  The
 script imports the package only, so pointing ``PYTHONPATH`` at another
-checkout's ``src`` times that checkout on the same inputs.
+checkout's ``src`` times that checkout on the same inputs, if its
+``_transport`` takes nodal rows as this one does.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
     probs = (2.0 * np.arange(points) + 1.0) / (2.0 * points)
     scale = affine_scale(grid.domain)
     starts = branches.start_state.tolist()
-    folded = dn._fold(np.array([dn.mollified_delta(grid, s).values for s in starts]))
+    bumps = np.array([dn.mollified_delta(grid, s).values for s in starts])
     # two distinct centers taken in turn miss the one-entry cache every call
     a, b = starts[0], (starts[-1] if starts[-1] != starts[0] else starts[0] + 1e-3)
 
@@ -116,7 +118,7 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
     layers = {
         "assemble_prior": (lambda: dn.assemble_prior(branches, grid), 1),
         "_transport": (lambda: dn._transport(
-            grid.order, folded, scale * branches.drift, branches.start_mass,
+            grid.order, bumps, scale * branches.drift, branches.start_mass,
             scale * branches.noise_value, branches.noise_weight,
         ), 1),
         "density_quantiles": (lambda: dn.density_quantiles(posterior, probs), 1),
