@@ -168,8 +168,11 @@ def run_seed_streams(master_seed: int, run_index: int):
     """Derive the (truth, particle) generator pair for one run.
 
     Pure function of the master seed and run index: the truth stream never
-    depends on which filters are requested.
+    depends on which filters are requested.  Either argument that is not a
+    non-negative integer raises ``ValueError`` naming it.
     """
+    master_seed = checked_count("master_seed", master_seed, 0)
+    run_index = checked_count("run_index", run_index, 0)
     children = np.random.SeedSequence((master_seed, run_index)).spawn(2)
     return (
         np.random.Generator(np.random.PCG64(children[0])),
@@ -202,7 +205,8 @@ def _runs(cfg: ExperimentConfig, model, run_indices):
 
     Yields ``(run, truth, observations, outcomes)`` per run index;
     ``outcomes`` maps each filter, in ``cfg.filters`` order, to its
-    completed estimates and the failure that stopped it, or None.  The
+    completed estimates and the reason it stopped, ``"ErrorType:
+    message"``, or None; it failed at step ``len(estimates) + 1``.  The
     model and the noise quantization are resolved once for all runs.
     """
     model = benchmark_model() if model is None else model
@@ -219,7 +223,7 @@ def _runs(cfg: ExperimentConfig, model, run_indices):
                 for value in _step_estimates(name, cfg, model, noise, observations, pf_rng):
                     estimates.append(float(value))
             except _FAILURE_KINDS as err:
-                failure = err
+                failure = f"{type(err).__name__}: {err}"
             outcomes[name] = (estimates, failure)
         yield run, truth, observations, outcomes
 
@@ -229,8 +233,9 @@ def run_experiment(cfg: ExperimentConfig, model=None) -> list:
 
     Every filter in a run consumes the identical observation sequence.  A
     run where a filter diverges is recorded as failed for that filter (with
-    the reason), excluded from its mean and kept in the failure count; it is
-    never retried, since silent retries would bias the error statistics.
+    the reason, ``"step <k>: <ErrorType>: <message>"``), excluded from its
+    mean and kept in the failure count; it is never retried, since silent
+    retries would bias the error statistics.
     ``model`` overrides the benchmark model (tests use this to pin noise
     variances); the CLI always runs the benchmark.
     """
@@ -240,7 +245,7 @@ def run_experiment(cfg: ExperimentConfig, model=None) -> list:
             if failure is None:
                 reports[name].rmse_by_run[run] = rmse(truth, estimates)
             else:
-                reports[name].failures.append((run, str(failure)))
+                reports[name].failures.append((run, f"step {len(estimates) + 1}: {failure}"))
     return list(reports.values())
 
 
@@ -255,7 +260,7 @@ def run_trajectory(cfg: ExperimentConfig, model=None) -> list:
     failures = [{} for _ in range(cfg.steps)]
     for name, (estimates, failure) in outcomes.items():
         if failure is not None:
-            failures[len(estimates)][name] = f"{type(failure).__name__}: {failure}"
+            failures[len(estimates)][name] = failure
         estimates += [None] * (cfg.steps - len(estimates))
     return [
         TrajectoryRecord(

@@ -127,31 +127,23 @@ class SpectralGrid:
         Number of node intervals; the grid has ``order + 1`` nodes.
     domain : Interval
         Physical interval covered by the grid.
-    reference_nodes : ndarray
-        Nodes on [-1, 1], ascending.
-    quad_weights : ndarray
-        Clenshaw-Curtis weights on the reference interval (they sum to 2).
     nodes : ndarray
-        Physical node locations.
+        Physical node locations, ascending.
     physical_weights : ndarray
-        Quadrature weights scaled to the physical interval.
+        Clenshaw-Curtis weights scaled to the physical interval.
     """
 
     order: int
     domain: Interval
-    reference_nodes: np.ndarray
-    quad_weights: np.ndarray
     nodes: np.ndarray
     physical_weights: np.ndarray
 
     @classmethod
     def build(cls, order: int, domain: Interval) -> "SpectralGrid":
         order = checked_count("order", order, 1)
-        ref = _reference_nodes(order)
-        qw = cc_weights(order)
-        nodes = _readonly(affine_unmap(domain, ref))
-        pw = _readonly(qw * (domain.width / 2.0))
-        return cls(order, domain, ref, qw, nodes, pw)
+        nodes = _readonly(affine_unmap(domain, _reference_nodes(order)))
+        pw = _readonly(cc_weights(order) * (domain.width / 2.0))
+        return cls(order, domain, nodes, pw)
 
     @property
     def n_nodes(self) -> int:

@@ -7,8 +7,9 @@ Two subcommands share the flag set:
 * ``trajectory`` executes a single seeded run and writes per-step truth,
   observation and estimates.
 
-Exit codes: 0 on success, 1 on usage errors, 2 when every requested
-filter failed on every run.
+Exit codes: 0 on success, 1 on usage errors or an unwritable output path
+(both found before the first step), 2 when every requested filter failed
+on every run.
 """
 
 from __future__ import annotations
@@ -89,13 +90,21 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"pdefilter: error: {err}", file=sys.stderr)
         return 1
+    outputs = [args.out, f"{args.out}.runs.csv"] if args.command == "run" else [args.out]
+    for path in outputs:
+        # append mode: a missing file is created, an existing one kept until rewritten
+        try:
+            open(path, "a").close()
+        except OSError as err:
+            print(f"pdefilter: error: cannot write {path}: {err.strerror}", file=sys.stderr)
+            return 1
     pairs = [("filter", args.filter)] + [(flag, getattr(args, name)) for flag, name, _ in flags]
     echo = " ".join(f"{flag}={value}" for flag, value in pairs)
 
     if args.command == "run":
         reports = bench.run_experiment(cfg)
         bench.write_summary_csv(args.out, reports, echo)
-        bench.write_runs_csv(f"{args.out}.runs.csv", reports, echo)
+        bench.write_runs_csv(outputs[1], reports, echo)
         for report in reports:
             summary = (
                 f"mean RMSE {report.mean_rmse:.4f}" if report.runs_ok else "no successful runs"

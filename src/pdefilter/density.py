@@ -26,19 +26,20 @@ handled here keeps several margin widths of clearance from the boundary, the
 periodic identification never moves visible mass.
 
 The folded generator is ``v s F_N``, where ``s`` converts physical to
-reference velocity and ``F_N`` (the folded generator at unit velocity on
-[-1, 1]) depends only on the grid order.  One eigendecomposition
-``F_N = V diag(lam) V^-1`` per order is cached, and every transport is
-``V diag(exp(t lam)) V^-1`` applied to the folded values with
-``t = v s dt``; no matrix exponential is formed.  The spectrum is imaginary
-to rounding (``max |Re lam| / max |lam|`` below 1e-14 for every order from
-3 to 400), so ``exp(t lam)`` is taken as the rotation by ``a = t Im lam``,
-and both transforms are real matrix products.  Each rotation comes from one
-tangent of the half angle, ``exp(i a) = (1 + i u)^2 / (1 + u^2)`` with
-``u = tan(a / 2)``: with numpy 2.4 on an AVX-512 host, float64 ``tan`` ran
-about ten times faster than ``cos`` or ``sin`` (README, Numerical notes),
-and the form is well conditioned at every angle (a relative error e in
-``u`` turns the rotation by at most e radians).
+reference velocity and ``F_N = folded_generator(N)``, the folded generator
+at unit velocity on [-1, 1], depends only on the grid order.  One
+eigendecomposition ``F_N = V diag(lam) V^-1`` per order is cached, and
+every transport is ``V diag(exp(t lam)) V^-1`` applied to the folded values
+with ``t = v s dt``; no matrix exponential is formed.  The spectrum is
+imaginary to rounding (``max |Re lam| / max |lam|`` below 1e-14 for every
+order from 3 to 400), so ``exp(t lam)`` is taken as the rotation by
+``a = t Im lam``, and both transforms are real matrix products.  Each
+rotation comes from one tangent of the half angle,
+``exp(i a) = (1 + i u)^2 / (1 + u^2)`` with ``u = tan(a / 2)``: with
+numpy 2.4 on an AVX-512 host, float64 ``tan`` ran about ten times faster
+than ``cos`` or ``sin`` (README, Numerical notes), and the form is well
+conditioned at every angle (a relative error e in ``u`` turns the rotation
+by at most e radians).
 Eigenvector exponentials are unsafe for badly conditioned V (Moler & Van
 Loan, SIAM Rev. 2003), but here ``cond(V)`` stays below 100 for every order
 up to 400.
@@ -217,10 +218,12 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     The standard deviation is 1.5 times the mean node spacing adjacent to
     *center*, so the bump stays resolvable wherever it is placed.
 
-    The last bump built is cached: a call on the same grid object with an
-    equal *center* returns that same bump without rebuilding it, so
-    :func:`assemble_prior`'s one call per branch builds one bump per start
-    group.  The returned bump may therefore be shared;
+    The last bump built is cached with its center widened to a Python
+    float: a call with the same grid object and that same float object
+    returns the cached bump, so :func:`assemble_prior`, which passes each
+    start's float to all of that start's calls, builds one bump per start.
+    Any other center, equal or not, builds its bump afresh, bit-equal to
+    the cached one when equal.  The returned bump may therefore be shared;
     like every :class:`GridDensity` it is read-only.  The traced
     ``density.mollified_delta.calls`` counts calls, not builds.
     """
@@ -228,18 +231,10 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     # read the entry once and replace it whole, so a concurrent caller never
     # sees a torn entry; a lost replacement only costs a rebuild
     cached_grid, cached_center, cached = _last_bump
-    # the entry holds the center as a Python float.  That same object passed
-    # back, as assemble_prior does for each branch of a start, hits on two
-    # identity tests; any other center is widened to a Python float before
-    # it is compared, since under numpy 2's scalar rules np.float32(0.1) ==
-    # 0.1 holds.  A NaN is never cached and equals no cached center, so it
-    # goes on to the width check and is refused there
     if grid is cached_grid and center is cached_center:
         return cached
+    # the width checks the center first, so a NaN is refused, never cached
     center = float(center)
-    if grid is cached_grid and center == cached_center:
-        return cached
-    # the width checks the center first
     sigma = mollification_sigma(grid, center)
     # exp(-0.5 ((x - center) / sigma)^2), built in one array
     values = grid.nodes - center
@@ -286,15 +281,17 @@ def mollification_sigma(grid: SpectralGrid, center: float) -> float:
     return _BUMP_WIDTH * (gaps / (hi - lo))
 
 
-def folded_generator(grid: SpectralGrid, velocity: float) -> np.ndarray:
-    """Advection generator ``-v_ref D`` with the endpoints identified.
+def folded_generator(order: int) -> np.ndarray:
+    """``F_N``: the advection generator ``-D`` at unit velocity on [-1, 1]
+    of an order-*order* grid, with the endpoints identified.
 
     The returned matrix acts on the folded vector (seam value first, then
     the interior nodes); the seam row is the average of the two endpoint
-    rows, and the last column is folded onto the first.
+    rows, and the last column is folded onto the first.  Transport at
+    reference velocity ``v`` over pseudo-time ``t`` is ``expm(v t F_N)``.
     """
-    n = grid.order
-    gen = (-velocity * affine_scale(grid.domain)) * diff_matrix(n)
+    gen = -diff_matrix(order)
+    n = order
     folded = np.empty((n, n))
     folded[1:, :] = gen[1:n, :n]
     folded[1:, 0] += gen[1:n, n]
@@ -346,8 +343,6 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
         value.
     """
     state_points = checked_count("state_points", state_points, 1)
-    if np.size(noise.points) == 0:
-        raise ValueError("noise quantization is empty")
     if not integrate(posterior) > _MASS_FLOOR:
         raise FilterDivergenceError(
             "filter divergence: posterior has zero total mass"
@@ -488,12 +483,12 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
 
 @dataclass(frozen=True)
 class _Eigensystem:
-    """``F_N = V diag(lam) V^-1`` on one member of each conjugate pair, laid
-    out for real products.
+    """``F_N = V diag(lam) V^-1`` (``F_N = folded_generator(N)``) on one
+    member of each conjugate pair, laid out for real products.
 
-    ``lam`` keeps every real eigenvalue and, of each conjugate pair, the
-    member with positive imaginary part; ``half_omega`` is half its
-    imaginary part.  The spectrum is imaginary to rounding
+    The kept eigenvalues are every real one and, of each conjugate pair,
+    the member with positive imaginary part; ``half_omega`` is half their
+    imaginary parts.  The spectrum is imaginary to rounding
     (``max |Re lam| / max |lam|`` below 1e-14 for every order from 3 to
     400), so a transport drops ``Re lam`` and rotates by ``exp(i t omega)``,
     which it builds from ``tan(t half_omega)``; halving is exact, so that
@@ -505,15 +500,12 @@ class _Eigensystem:
     part and the negated imaginary part of the matching column of V,
     doubled for a pair, so that one real product with interleaved
     coordinates is the real part of the transform back over the kept half,
-    which is the whole real result.  ``cond`` is the 2-norm condition number
-    of V, the factor by which the transform can amplify rounding.
+    which is the whole real result.
     """
 
-    lam: np.ndarray
     half_omega: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    cond: float
 
 
 # each kernel holds (m + 1) x (N + 1) doubles for a mesh of 2 m + 1 points,
@@ -542,19 +534,17 @@ def _cdf_kernel(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _eigensystem(order: int) -> _Eigensystem:
-    unit = folded_generator(SpectralGrid.build(order, Interval(-1.0, 1.0)), 1.0)
-    lam, vecs = np.linalg.eig(unit)
+    lam, vecs = np.linalg.eig(folded_generator(order))
     keep = lam.imag >= 0.0
     doubled = np.where(lam.imag[keep] > 0.0, 2.0, 1.0)
     # a C-ordered complex N x K array viewed as float is N x 2K, each
     # complex entry's real and imaginary parts side by side
     w = np.ascontiguousarray(np.linalg.inv(vecs)[keep].T).view(float)
     v = np.ascontiguousarray((vecs[:, keep] * doubled).conj()).view(float)
-    kept = lam[keep]
-    arrays = (kept, 0.5 * kept.imag, w, v)
+    arrays = (0.5 * lam.imag[keep], w, v)
     for a in arrays:
         a.setflags(write=False)
-    return _Eigensystem(*arrays, float(np.linalg.cond(vecs)))
+    return _Eigensystem(*arrays)
 
 
 def _transport(

@@ -13,7 +13,6 @@ import pytest
 from pdefilter import cli
 from pdefilter import density as dn
 from pdefilter import filters as flt
-from pdefilter import linalg
 from pdefilter.bench import (
     ExperimentConfig,
     TrajectoryRecord,
@@ -166,21 +165,36 @@ def test_criterion_02_names_filter_failed_mid_run():
 
 
 def test_criterion_03_matrix_exponential():
+    # the shipped propagator against Taylor: _transport of the nodal rows
+    # that fold to the unit vectors gives the columns of expm(shift F_N)
+    # (row 0 has both ends 1, so its seam value is 1; each result's seam
+    # value comes first)
     rng = np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(100):
-        a = rng.normal(size=(8, 8))
-        a *= rng.uniform(0.05, 2.0) / linalg.one_norm(a)
-        oracle = taylor_expm(a)
-        rel = linalg.one_norm(linalg.expm(a) - oracle) / linalg.one_norm(oracle)
-        worst = max(worst, rel)
-    ident = np.abs(linalg.expm(np.zeros((6, 6))) - np.eye(6)).max()
+
+    def propagator(order, shift):
+        basis = np.eye(order + 1)
+        basis[0, order] = 1.0
+        return np.column_stack(
+            [dn._transport(order, basis[j:j + 1], [shift], [1.0], [0.0], [1.0])[:-1]
+             for j in range(order)]
+        )
+
+    worst = ident = 0.0
+    for order in range(4, 33):
+        unit = dn.folded_generator(order)
+        for _ in range(25):
+            shift = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0) / np.linalg.norm(unit, 1)
+            oracle = taylor_expm(shift * unit)
+            got = propagator(order, shift)
+            worst = max(worst, np.linalg.norm(got - oracle, 1) / np.linalg.norm(oracle, 1))
+        ident = max(ident, np.abs(propagator(order, 0.0) - np.eye(order)).max())
     ok = worst <= 1e-9 and ident <= 1e-14
     _criterion(
         3,
-        "matrix exponential",
+        "propagator exponential",
         ok,
-        f"worst rel err vs Taylor {worst:.2e} (<=1e-9), |expm(0)-I| {ident:.1e} (<=1e-14)",
+        f"worst rel err vs Taylor {worst:.2e} (<=1e-9), "
+        f"|transport at shift 0 - I| {ident:.1e} (<=1e-14), orders 4-32",
     )
 
 

@@ -22,6 +22,19 @@ def tiny_noise_model():
     )
 
 
+def exact_observation_model():
+    # with one particle, a near-exact observation underflows its only weight
+    # at the first step
+    base = bench.benchmark_model()
+    return flt.ScalarStateModel(
+        transition=base.transition,
+        observation=base.observation,
+        process_noise=base.process_noise,
+        obs_noise=flt.GaussianSpec(0.0, 1e-12),
+        initial=base.initial,
+    )
+
+
 class TestBenchmarkModel:
     def test_transition_from_origin(self):
         model = bench.benchmark_model()
@@ -120,6 +133,22 @@ class TestRunSeedStreams:
         one = bench.run_seed_streams(42, 0)
         two = bench.run_seed_streams(42, 1)
         assert one[0].normal() != two[0].normal()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((1.5, 0), "master_seed must be an integer, got 1.5"),
+         ((1, 0.5), "run_index must be an integer, got 0.5"),
+         ((-1, 0), "master_seed must be >= 0, got -1"),
+         ((1, -1), "run_index must be >= 0, got -1")],
+    )
+    def test_bad_seed_or_run_rejected_naming_it(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            bench.run_seed_streams(*args)
+
+    def test_numpy_integers_give_the_same_streams(self):
+        one = bench.run_seed_streams(np.int64(42), np.uint8(3))
+        two = bench.run_seed_streams(42, 3)
+        assert one[0].normal() == two[0].normal()
 
 
 class TestRunExperiment:
@@ -241,6 +270,17 @@ class TestReportAccounting:
         assert report.mean_rmse == pytest.approx(5.0)
         assert report.per_run == [4.0, 6.0]
 
+    def test_failed_run_note_names_its_step_and_error_type(self, tmp_path):
+        cfg = ExperimentConfig(filters=("pf",), steps=4, runs=2, particles=1, seed=3)
+        [report] = bench.run_experiment(cfg, model=exact_observation_model())
+        reason = "step 1: WeightUnderflowError: all particle likelihoods underflowed at step 1"
+        assert report.failures == [(0, reason), (1, reason)]
+        path = tmp_path / "runs.csv"
+        bench.write_runs_csv(path, [report], "filter=pf")
+        assert path.read_text().splitlines()[2:] == [
+            f"pf,0,failed,,{reason}", f"pf,1,failed,,{reason}"
+        ]
+
     def test_std_conventions(self):
         report = RmseReport("ukf", steps=5)
         report.rmse_by_run[0] = 3.0
@@ -264,20 +304,10 @@ class TestRunTrajectory:
             assert record.failures == {}
 
     def test_failure_reason_reaches_records_and_csv(self, tmp_path):
-        # one particle and a near-exact observation: its only weight
-        # underflows at the first step
-        base = bench.benchmark_model()
-        model = flt.ScalarStateModel(
-            transition=base.transition,
-            observation=base.observation,
-            process_noise=base.process_noise,
-            obs_noise=flt.GaussianSpec(0.0, 1e-12),
-            initial=base.initial,
-        )
         cfg = ExperimentConfig(
             filters=("ukf", "pf"), steps=4, runs=1, particles=1, seed=3
         )
-        records = bench.run_trajectory(cfg, model=model)
+        records = bench.run_trajectory(cfg, model=exact_observation_model())
         reason = "WeightUnderflowError: all particle likelihoods underflowed at step 1"
         assert records[0].failures == {"pf": reason}
         assert all(r.estimates["pf"] is None for r in records)

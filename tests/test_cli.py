@@ -142,6 +142,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("unwritable", ["out", "runs"])
+    def test_run_checks_both_outputs_before_the_first_step(
+        self, tmp_path, capsys, monkeypatch, unwritable
+    ):
+        # a missing directory, or a directory where the per-run CSV goes
+        out = tmp_path / "missing" / "r.csv" if unwritable == "out" else tmp_path / "r.csv"
+        (tmp_path / "r.csv.runs.csv").mkdir()
+        monkeypatch.setattr(cli.bench, "run_experiment", stepping_forbidden)
+        assert cli.main(run_args(out)) == 1
+        path = out if unwritable == "out" else f"{out}.runs.csv"
+        err = capsys.readouterr().err
+        assert err.startswith(f"pdefilter: error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+    def test_trajectory_checks_its_output_before_the_first_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "missing" / "t.csv"
+        monkeypatch.setattr(cli.bench, "run_trajectory", stepping_forbidden)
+        assert cli.main(["trajectory", "--steps", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pdefilter: error: cannot write {out}: No such file or directory\n"
+
+
+def stepping_forbidden(*args, **kwargs):
+    raise AssertionError("a filter ran although the output cannot be written")
+
 
 class TestDefaults:
     @pytest.mark.parametrize("command", ["run", "trajectory"])
