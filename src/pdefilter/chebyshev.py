@@ -210,7 +210,7 @@ def checked_count(name: str, value, minimum: int) -> int:
 
     ``operator.index`` admits ints and numpy integers but not ``2.5``,
     ``2.0`` or ``"2"``, which ``int()`` would truncate or parse and numpy
-    would refuse only mid-run.
+    would refuse only mid-run; a Python ``bool`` is refused like ``np.True_``.
 
     Raises
     ------
@@ -218,6 +218,8 @@ def checked_count(name: str, value, minimum: int) -> int:
         Naming *name*, if *value* is not an integer or is below *minimum*.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -369,8 +369,14 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
     on the grid order and are cached.  The kernel holds the left half of the
     mesh only: the right half is the mirror image, the left half applied to
     the reversed values.  The mesh spacing is uniform, so it cancels from
-    the normalized CDF and is never multiplied in.
+    the normalized CDF and is never multiplied in.  A probability that is
+    NaN or outside [0, 1] raises ``ValueError``.
     """
+    probs = np.asarray(probs, dtype=float)
+    if probs.size:
+        lo, hi = _extremes(probs)
+        if not (0.0 <= lo and hi <= 1.0):
+            raise ValueError(f"probabilities must lie in [0, 1], got {lo!r} to {hi!r}")
     grid = density.grid
     kernel, mesh = _cdf_kernel(grid.order)
     v = density.values
@@ -385,7 +391,7 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
     total = cdf[-1]
     if not total > 0.0:
         raise ValueError("cannot invert the CDF of a zero-mass density")
-    fraction = np.interp(np.asarray(probs, dtype=float) * total, cdf, mesh)
+    fraction = np.interp(probs * total, cdf, mesh)
     return grid.domain.lo + grid.domain.width * fraction
 
 

@@ -119,28 +119,18 @@ class PdefState:
 
 @dataclass(frozen=True)
 class PfState:
-    """Weighted particle approximation of the posterior."""
+    """Equally weighted particle cloud: the bootstrap filter resamples every step."""
 
     particles: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         parts = np.array(self.particles, dtype=float)
-        wts = np.array(self.weights, dtype=float)
-        if parts.ndim != 1 or parts.shape != wts.shape or parts.size == 0:
-            raise ValueError("particles and weights must be equal-length 1-D arrays")
+        if parts.ndim != 1 or parts.size == 0:
+            raise ValueError("particles must be a nonempty 1-D array")
         if not np.isfinite(parts).all():
             raise ValueError("particles must be finite")
-        if not np.isfinite(wts).all():
-            raise ValueError("particle weights must be finite")
-        if wts.min() < 0.0:
-            raise ValueError("particle weights must be nonnegative")
-        if abs(wts.sum() - 1.0) > 1e-9:
-            raise ValueError(f"particle weights sum to {wts.sum()!r}, expected 1")
         parts.setflags(write=False)
-        wts.setflags(write=False)
         object.__setattr__(self, "particles", parts)
-        object.__setattr__(self, "weights", wts)
 
 
 class UkfState(GaussianSpec):
@@ -156,7 +146,9 @@ class PdefConfig:
     order is one less) and ``state_quantiles`` the number of
     equal-probability posterior points entering each prediction.  The
     mollification width is fixed at 1.5 node spacings
-    (:func:`~pdefilter.density.mollified_delta`).
+    (:func:`~pdefilter.density.mollified_delta`).  ``grid_nodes`` of 4 is
+    accepted, but on the growth model every run fails below about 32 nodes
+    (ROADMAP item 4).
     """
 
     grid_nodes: int = 100
@@ -198,9 +190,10 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     """Normal density of the innovation ``y - y_pred`` with the given variance.
 
     Broadcasts over array-valued ``y_pred`` (e.g. grid nodes or particles).
+    An infinite variance, which makes every likelihood 0, is refused.
     """
-    if not obs_variance > 0.0:
-        raise ValueError(f"observation variance must be positive, got {obs_variance}")
+    if not 0.0 < obs_variance < math.inf:
+        raise ValueError(f"observation variance must be positive and finite, got {obs_variance}")
     resid = np.asarray(y, dtype=float) - np.asarray(y_pred, dtype=float)
     out = np.exp(-0.5 * resid * resid / obs_variance) / math.sqrt(
         2.0 * math.pi * obs_variance
@@ -314,8 +307,7 @@ def pdef_step(
 def pf_init(model: ScalarStateModel, n_particles: int, rng: np.random.Generator) -> PfState:
     """Draw the initial particle cloud from the model's initial Gaussian."""
     n_particles = checked_count("n_particles", n_particles, 1)
-    particles = rng.normal(model.initial.mean, model.initial.std, n_particles)
-    return PfState(particles, np.full(n_particles, 1.0 / n_particles))
+    return PfState(rng.normal(model.initial.mean, model.initial.std, n_particles))
 
 
 def pf_step(
@@ -328,10 +320,10 @@ def pf_step(
     """Bootstrap proposal, likelihood reweighting, systematic resampling.
 
     Every particle is pushed through the transition with a fresh process
-    noise draw, weights are multiplied by the observation likelihood and the
-    cloud is resampled every step, so the returned weights are uniform.  The
-    transition and the observation are each called once, on the particle
-    array.
+    noise draw and weighted by its likelihood times the scalar prior weight
+    1/n (the same bits as a per-particle array of 1/n); the cloud is resampled
+    every step, so the new state is its particles alone.  The transition and
+    the observation are each called once, on the particle array.
 
     Raises
     ------
@@ -349,17 +341,16 @@ def pf_step(
         "transition", model.transition(state.particles, k, draws), (n,), k
     )
     predicted = model_output("observation", model.observation(moved, k), (n,), k)
-    weights = state.weights * gaussian_likelihood(
-        y_obs, predicted, model.obs_noise.variance
-    )
+    # in place: fresh n-sized arrays here let malloc trim the heap and refault
+    # it the next step (about 45 minor faults on 4 steps in 10 at 10^4 particles)
+    weights = gaussian_likelihood(y_obs, predicted, model.obs_noise.variance)
+    weights *= 1.0 / n
     total = float(weights.sum())
     if not total > 0.0:
-        raise WeightUnderflowError(
-            f"all particle likelihoods underflowed at step {k}"
-        )
-    weights = weights / total
+        raise WeightUnderflowError(f"all particle likelihoods underflowed at step {k}")
+    weights /= total
     indices = systematic_resample(weights, n, rng.random())
-    return PfState(moved[indices], np.full(n, 1.0 / n))
+    return PfState(moved[indices])
 
 
 # n_out at and above which systematic_resample counts offspring in one
@@ -394,13 +385,13 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the weights are empty, NaN, infinite or negative, or do not sum
-        to 1 within 1e-9; if ``u0`` is outside [0, 1); if ``n_out`` is not an
-        integer of at least 1.
+        If the weights are not a nonempty 1-D array, are NaN, infinite or
+        negative, or do not sum to 1 within 1e-9; if ``u0`` is outside
+        [0, 1); if ``n_out`` is not an integer of at least 1.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("empty weight vector")
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"weights must be a nonempty 1-D array, got shape {w.shape}")
     if not w.min() >= 0.0:
         raise ValueError("weights must be finite and nonnegative")
     total = w.sum()
@@ -516,7 +507,7 @@ def estimate(state) -> float:
     if isinstance(state, PdefState):
         return density_mod.mean(state.posterior)
     if isinstance(state, PfState):
-        return float(state.weights @ state.particles)
+        return float(state.particles.sum() / state.particles.size)
     if isinstance(state, UkfState):
         return state.mean
     raise TypeError(f"not a filter state: {type(state).__name__}")

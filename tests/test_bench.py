@@ -215,10 +215,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("steps", 2.5), ("runs", 2.5), ("particles", 2.5), ("noise_points", 2.0), ("seed", 1.5)],
+        [("steps", 2.5), ("runs", 2.5), ("particles", 2.5), ("noise_points", 2.0), ("seed", 1.5),
+         ("steps", True)],
     )
     def test_non_integer_count_rejected_naming_its_field(self, field, value):
-        # each was accepted and then stopped the run inside numpy
+        # each was accepted and then stopped the run inside numpy; steps=True
+        # ran one step
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             ExperimentConfig(**{field: value})
 

@@ -802,6 +802,21 @@ class TestMakeBranches:
 
 
 class TestDensityQuantiles:
+    @pytest.mark.parametrize(
+        "probs", [[1.5, -0.2], [np.nan], [0.5, np.nan], [-1e-300], [1.0 + 2.0**-52]]
+    )
+    def test_rejects_nan_or_out_of_range_probabilities(self, probs):
+        # [1.5, -0.2] once returned the two domain ends and [nan] a NaN start
+        posterior = flt.pdef_init(benchmark_model()).posterior
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            dn.density_quantiles(posterior, probs)
+
+    def test_end_probabilities_give_the_domain_ends(self):
+        posterior = flt.pdef_init(benchmark_model()).posterior
+        domain = posterior.grid.domain
+        got = dn.density_quantiles(posterior, [0.0, 1.0])
+        np.testing.assert_allclose(got, [domain.lo, domain.hi], rtol=0, atol=1e-12)
+
     def test_gaussian_quantiles_match_inverse_cdf(self):
         grid = wide_grid(99, 12.0)
         posterior = gaussian_density(grid, 0.5, 2.0)

@@ -43,7 +43,8 @@ def constant_observation_model():
 
 
 def pf_step_per_particle(state, model, k, y_k, rng):
-    """Reference particle step: one scalar model call per particle.
+    """Reference particle step: one scalar model call per particle, with an
+    explicit per-particle prior weight array of 1/n.
 
     Returns the resampled particles, or None where every weight underflows.
     """
@@ -53,7 +54,9 @@ def pf_step_per_particle(state, model, k, y_k, rng):
         [float(model.transition(float(x), k, float(v))) for x, v in zip(state.particles, draws)]
     )
     predicted = np.array([float(model.observation(float(x), k)) for x in moved])
-    weights = state.weights * flt.gaussian_likelihood(y_k, predicted, model.obs_noise.variance)
+    weights = np.full(n, 1.0 / n) * flt.gaussian_likelihood(
+        y_k, predicted, model.obs_noise.variance
+    )
     total = float(weights.sum())
     if not total > 0.0:
         return None
@@ -159,8 +162,11 @@ class TestGaussianLikelihood:
         assert out[0] > out[1]
 
     def test_bad_variance(self):
-        with pytest.raises(ValueError):
-            flt.gaussian_likelihood(0.0, 0.0, 0.0)
+        # an infinite variance once gave likelihood 0.0, reported by a pdef
+        # step as a divergence and by a pf step as a weight underflow
+        for variance in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="variance must be positive and finite"):
+                flt.gaussian_likelihood(0.0, 1.0, variance)
 
 
 class TestPosteriorUpdate:
@@ -329,7 +335,7 @@ class TestParticleFilter:
         state = flt.pf_init(model, 4000, np.random.default_rng(0))
         assert state.particles.mean() == pytest.approx(2.0, abs=0.05)
         assert state.particles.std() == pytest.approx(0.5, abs=0.05)
-        np.testing.assert_allclose(state.weights, 1.0 / 4000)
+        assert state.particles.shape == (4000,)
 
     def test_deterministic_model_concentrates_on_truth(self):
         model = flt.ScalarStateModel(
@@ -339,22 +345,14 @@ class TestParticleFilter:
             obs_noise=flt.GaussianSpec(0.0, 1.0),
             initial=flt.GaussianSpec(2.0, 1e-30),
         )
-        state = flt.PfState(np.full(50, 2.0), np.full(50, 0.02))
+        state = flt.PfState(np.full(50, 2.0))
         out = flt.pf_step(state, model, 1, 1.0, np.random.default_rng(1))
         np.testing.assert_allclose(out.particles, 1.0, atol=1e-12)
-        np.testing.assert_allclose(out.weights, 0.02)
-
-    def test_weights_uniform_after_every_step(self):
-        model = benchmark_model()
-        rng = np.random.default_rng(3)
-        state = flt.pf_init(model, 64, rng)
-        for k in range(1, 6):
-            state = flt.pf_step(state, model, k, 0.5 * k, rng)
-            np.testing.assert_allclose(state.weights, 1.0 / 64)
+        assert out.particles.shape == (50,)
 
     def test_underflow_raises(self):
         model = linear_model(r=1e-6)
-        state = flt.PfState(np.zeros(10), np.full(10, 0.1))
+        state = flt.PfState(np.zeros(10))
         with pytest.raises(WeightUnderflowError):
             flt.pf_step(state, model, 1, 1e9, np.random.default_rng(0))
 
@@ -481,6 +479,13 @@ class TestSystematicResample:
     def test_rejects_nan_infinite_or_negative_weights(self, weights, n_out):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             flt.systematic_resample(weights, n_out, 0.5)
+
+    @pytest.mark.parametrize("n_out", [2, 2000])
+    @pytest.mark.parametrize("weights", [[[0.5, 0.5]], [[0.5], [0.5]], 1.0])
+    def test_rejects_weights_that_are_not_1d(self, weights, n_out):
+        # [[0.5, 0.5]] once returned all zeros and never drew index 1
+        with pytest.raises(ValueError, match="weights must be a nonempty 1-D array"):
+            flt.systematic_resample(weights, n_out, 0.3)
 
     @pytest.mark.parametrize("n_out", [3, 1500])
     def test_position_rounding_to_one_takes_last_index(self, n_out):
@@ -637,8 +642,16 @@ class TestEstimate:
         assert flt.estimate(flt.PdefState(posterior)) == pytest.approx(2.0, abs=1e-6)
 
     def test_weighted_particle_mean(self):
-        state = flt.PfState(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
-        assert flt.estimate(state) == 2.0
+        # each particle of the equally weighted cloud counts 1/n
+        assert flt.estimate(flt.PfState(np.array([1.0, 3.0]))) == 2.0
+        assert flt.estimate(flt.PfState(np.array([1.0, 2.0, 6.0]))) == 3.0
+
+    @pytest.mark.parametrize("n", [1, 100, 10_000])
+    def test_particle_mean_is_numpy_mean_and_uniform_weighted_mean(self, n):
+        particles = np.random.default_rng(n).normal(3.0, 5.0, n)
+        got = flt.estimate(flt.PfState(particles))
+        assert got == float(particles.mean())
+        assert got == pytest.approx(float(np.full(n, 1.0 / n) @ particles), abs=1e-12)
 
     def test_ukf_mean_field(self):
         assert flt.estimate(flt.UkfState(4.2, 1.0)) == 4.2
@@ -668,6 +681,7 @@ NON_INTEGER_COUNTS = {
     "gauss_lobatto_nodes": (lambda rng: gauss_lobatto_nodes("4"), "order", "4"),
     "gaussian_quantile_points": (lambda rng: flt.gaussian_quantile_points(2.5, 1.0), "n", 2.5),
     "pf_init": (lambda rng: flt.pf_init(benchmark_model(), 2.5, rng), "n_particles", 2.5),
+    "pf_init bool": (lambda rng: flt.pf_init(benchmark_model(), True, rng), "n_particles", True),
     "simulate_truth": (lambda rng: simulate_truth(benchmark_model(), 2.5, rng), "steps", 2.5),
     "make_branches": (lambda rng: growth_branches(2.5), "state_points", 2.5),
 }
@@ -691,10 +705,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             flt.NoiseQuantization([0.0, 1.0], [1.0, 0.0])  # nonpositive weight
 
-    def test_pf_state_weight_sum(self):
-        with pytest.raises(ValueError):
-            flt.PfState(np.zeros(3), np.array([0.5, 0.2, 0.2]))
-
     def test_ukf_state_variance(self):
         with pytest.raises(ValueError):
             flt.UkfState(0.0, 0.0)
@@ -711,17 +721,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="noise weights must be finite"):
             flt.NoiseQuantization([0.0, 1.0], [math.nan, math.nan])
 
-    def test_pf_state_rejects_non_finite_weights(self):
-        with pytest.raises(ValueError, match="particle weights must be finite"):
-            flt.PfState([1.0, 2.0], [math.nan, math.nan])
-
     def test_pf_state_rejects_non_finite_particles(self):
         with pytest.raises(ValueError, match="particles must be finite"):
-            flt.PfState([1.0, math.inf], [0.5, 0.5])
+            flt.PfState([1.0, math.inf])
 
-    def test_pf_state_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="particle weights must be nonnegative"):
-            flt.PfState([1.0, 2.0], [1.5, -0.5])
+    @pytest.mark.parametrize("particles", [[], [[1.0, 2.0]], 1.0])
+    def test_pf_state_rejects_an_empty_or_non_1d_cloud(self, particles):
+        with pytest.raises(ValueError, match="particles must be a nonempty 1-D array"):
+            flt.PfState(particles)
+
+    def test_pf_state_particles_are_read_only(self):
+        state = flt.PfState([1.0, 2.0])
+        with pytest.raises(ValueError):
+            state.particles[0] = 3.0
 
     def test_gaussian_spec_rejects_non_finite_mean(self):
         with pytest.raises(ValueError, match="mean must be finite"):
@@ -742,7 +754,10 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("grid_nodes", 50.5), ("grid_nodes", 50.0), ("state_quantiles", 4.5), ("state_quantiles", "4")],
+        [
+            ("grid_nodes", 50.5), ("grid_nodes", 50.0), ("state_quantiles", 4.5),
+            ("state_quantiles", "4"), ("state_quantiles", True),
+        ],
     )
     def test_pdef_config_rejects_a_non_integer_count(self, field, value):
         # grid_nodes=50.5 once ran a 50-node grid with a margin sized for
