@@ -17,7 +17,6 @@ from .errors import (
 )
 from .filters import (
     GaussianSpec,
-    NoiseQuantization,
     PdefConfig,
     PdefState,
     PfState,
@@ -55,7 +54,6 @@ __all__ = [
     "GaussianSpec",
     "GridDensity",
     "Interval",
-    "NoiseQuantization",
     "PdefConfig",
     "PdefState",
     "PfState",

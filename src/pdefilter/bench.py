@@ -207,7 +207,7 @@ def _runs(cfg: ExperimentConfig, model, run_indices):
     ``outcomes`` maps each filter, in ``cfg.filters`` order, to its
     completed estimates and the reason it stopped, ``"ErrorType:
     message"``, or None; it failed at step ``len(estimates) + 1``.  The
-    model and the noise quantization are resolved once for all runs.
+    model and the noise points are resolved once for all runs.
     """
     model = benchmark_model() if model is None else model
     noise = f.gaussian_quantile_points(

@@ -67,11 +67,6 @@ def affine_scale(domain: Interval) -> float:
     return 2.0 / domain.width
 
 
-def gauss_lobatto_nodes(order: int) -> np.ndarray:
-    """Chebyshev Gauss-Lobatto nodes -cos(pi j / order), ascending in [-1, 1]."""
-    return _reference_nodes(checked_count("order", order, 1)).copy()
-
-
 # typed, so that a cached order-4 result never answers diff_matrix(4.0),
 # which the order check refuses
 @lru_cache(maxsize=32, typed=True)

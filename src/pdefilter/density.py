@@ -3,15 +3,16 @@ them forward one filter step.
 
 A :class:`GridDensity` stores nonnegative nodal values of a probability
 density (per unit of physical x) on a :class:`~pdefilter.chebyshev.SpectralGrid`.
-Prediction decomposes the current posterior into weighted "branches", the
-product of representative start states with the representative points of
-the quantized process noise, transports a narrow Gaussian bump along each
-branch's characteristic with the exact advection propagator, and sums the
-transported mass into the prior for the next step.  The noise is additive,
+Prediction decomposes the current posterior into equally weighted
+"branches", the product of S equal-probability start states with P
+equal-probability points of the quantized process noise, transports a
+narrow Gaussian bump along each branch's characteristic with the exact
+advection propagator, and sums the transported mass, ``1 / (S P)`` per
+branch, into the prior for the next step.  The noise is additive,
 ``x_k = f(x, k) + v``, and the propagators commute, so the branch sum
 factors exactly into one rotation per start by its drift ``f(x) - x``,
-summed, times one noise factor ``sum_p w_p exp(v_p F)``.  The noise keeps
-the paper's quantized points, not the exact Gaussian factor.
+averaged, times one noise factor ``(1 / P) sum_p exp(v_p F)``.  The noise
+keeps the paper's quantized points, not the exact Gaussian factor.
 
 Advection solves ``dp/dtau + v dp/dx = 0`` semi-discretely: ``dp/dtau = L p``
 with ``L = -v_ref D`` on the reference interval, integrated exactly over the
@@ -67,9 +68,6 @@ _SUPPORT_RTOL = 1e-12
 
 # total mass at or below this threshold is treated as filter divergence
 _MASS_FLOOR = 1e-300
-
-# branch masses must sum to one this tightly before a prediction step
-_MASS_SUM_TOL = 1e-9
 
 # standard deviation of a mollified delta, in mean node gaps next to its center
 _BUMP_WIDTH = 1.5
@@ -129,47 +127,42 @@ class Branches:
     """The transported characteristics of one prediction step: the product
     of S start states with P process-noise points, as arrays.
 
-    Start s sits at ``start_state[s]``, carries probability mass
-    ``start_mass[s]`` and is moved by the noise-free transition by
-    ``drift[s]``; noise point p has value ``noise_value[p]`` and weight
-    ``noise_weight[p]``.  Branch ``i = s * P + p`` pairs the two: it carries
-    mass ``start_mass[s] * noise_weight[p]`` and moves at the constant
+    Start s sits at ``start_state[s]`` and is moved by the noise-free
+    transition by ``drift[s]``; noise point p has value ``noise_value[p]``.
+    Branch ``i = s * P + p`` pairs the two and moves at the constant
     velocity ``drift[s] + noise_value[p]`` over the unit pseudo-time step,
     which under additive noise lands it on ``transition(start, k, noise)``.
-    ``len()`` is the branch count S * P.  The arrays are validated once and
-    stored read-only.
+    Both point sets are equal-probability quantiles, so every branch
+    carries mass ``1 / (S P)``.  ``len()`` is the branch count S * P.  The
+    arrays are validated once (nonempty, finite, 1-D, ``start_state`` and
+    ``drift`` of equal length) and stored read-only.
     """
 
     start_state: np.ndarray
-    start_mass: np.ndarray
     drift: np.ndarray
     noise_value: np.ndarray
-    noise_weight: np.ndarray
 
     def __post_init__(self):
-        names = ("start_state", "start_mass", "drift", "noise_value", "noise_weight")
+        names = ("start_state", "drift", "noise_value")
         arrays = [np.array(getattr(self, name), dtype=float) for name in names]
-        for first, *rest in (arrays[:3], arrays[3:]):
-            if first.ndim != 1 or any(a.shape != first.shape for a in rest):
-                raise ValueError("branch fields must be equal-length 1-D arrays")
+        starts, drift, noise = arrays
+        if starts.ndim != 1 or drift.shape != starts.shape or noise.ndim != 1:
+            raise ValueError(
+                "branch fields must be 1-D arrays, start_state and drift of equal length"
+            )
         # the two extremes of each field decide finiteness (a NaN is picked
-        # as both), the mass range and the velocity range
-        extremes = {}
+        # as both) and the velocity range
+        extremes = []
         for name, a in zip(names, arrays):
             if not a.size:
-                continue
+                raise ValueError(f"branch field {name} must not be empty")
             lo, hi = _extremes(a)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"branch field {name} must be finite")
-            if name in ("start_mass", "noise_weight") and not (lo > 0.0 and hi <= 1.0):
-                raise ValueError(
-                    f"branch field {name} must be in (0, 1], got range [{lo}, {hi}]"
-                )
-            extremes[name] = lo, hi
-        if "drift" in extremes and "noise_value" in extremes:
-            velocity = [d + n for d, n in zip(extremes["drift"], extremes["noise_value"])]
-            if not all(map(math.isfinite, velocity)):
-                raise ValueError("branch velocity must be finite")
+            extremes.append((lo, hi))
+        velocity = [d + n for d, n in zip(extremes[1], extremes[2])]
+        if not all(map(math.isfinite, velocity)):
+            raise ValueError("branch velocity must be finite")
         for name, a in zip(names, arrays):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -203,13 +196,6 @@ def normalize(density: GridDensity) -> GridDensity:
             f"filter divergence: density mass {total:.3e} is below threshold"
         )
     return GridDensity(density.grid, density.values / total)
-
-
-def l1_distance(a: GridDensity, b: GridDensity) -> float:
-    """Integral of |a - b| for two densities on the same grid."""
-    if a.grid is not b.grid and not np.array_equal(a.grid.nodes, b.grid.nodes):
-        raise ValueError("densities live on different grids")
-    return float(a.grid.physical_weights @ np.abs(a.values - b.values))
 
 
 def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
@@ -328,9 +314,11 @@ def model_output(name: str, value, shape: tuple, k: int):
 def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:
     """Decompose a posterior into transported branches for one prediction.
 
-    The branches are the product of ``state_points`` equal-probability
-    quantiles of *posterior* (inverted from its quadrature CDF), each of
-    mass ``1 / state_points``, with the representative points of *noise*.
+    The branches are the product of the ``state_points`` midpoint quantiles
+    ``(2i + 1) / (2 state_points)`` of *posterior* (inverted from its
+    quadrature CDF) with *noise*, the process-noise points of
+    :func:`~pdefilter.filters.gaussian_quantile_points`; both are
+    equal-probability point sets, so every branch has the same mass.
     Each start's drift ``model.transition(start, k, 0.0) - start`` comes
     from one transition call on the array of starts; the noise points are
     added to it, which relies on the model's additive-noise contract
@@ -341,6 +329,8 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
     FilterDivergenceError
         If the posterior has no mass or the transition returns a non-finite
         value.
+    ValueError
+        If *noise* is empty, not 1-D or not finite (from :class:`Branches`).
     """
     state_points = checked_count("state_points", state_points, 1)
     if not integrate(posterior) > _MASS_FLOOR:
@@ -350,13 +340,7 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
     probs = (2.0 * np.arange(state_points) + 1.0) / (2.0 * state_points)
     starts = density_quantiles(posterior, probs)
     moved = model_output("transition", model.transition(starts, k, 0.0), starts.shape, k)
-    return Branches(
-        start_state=starts,
-        start_mass=np.full(state_points, 1.0 / state_points),
-        drift=moved - starts,
-        noise_value=noise.points,
-        noise_weight=noise.weights,
-    )
+    return Branches(start_state=starts, drift=moved - starts, noise_value=noise)
 
 
 def density_quantiles(density: GridDensity, probs) -> np.ndarray:
@@ -421,31 +405,26 @@ def prediction_domain(
 def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
     """Sum the transported branch bumps into the prior for the next step.
 
-    Each branch contributes a mass-weighted mollified delta placed at its
-    start state and advected exactly by its velocity over unit pseudo-time,
-    so it lands on its end state.  The branches of one start share its
-    bump, so its occupied support range is found once per start; the
-    start's other ``mollified_delta`` calls, one per branch, only keep the
-    benchmark's traced per-branch count (README, Numerical notes).  Each
-    start is screened against the boundary margin once, by its range
-    shifted by its drift plus the lowest and the highest noise point:
-    rounding is monotone, so the screen passes exactly when every branch of
-    the start passes its own two comparisons.  Only the branches of a start
-    that fails the screen are checked one by one, in order; a branch that
-    fails its comparisons has its escaped mass measured, and the first whose
-    mass escapes raises.  The transport factors over the product: each start's
-    bump is taken to eigen-coordinates once and rotated by its mass and
-    drift, the starts are summed, the sum is multiplied by the noise factor
-    and transformed back once.  Negative spectral ringing is clipped once,
-    on the summed prior, not per branch: ringing of neighbouring bumps
-    partly cancels, and the sum is what the update step sees.
+    Each branch contributes its equal share of mass, ``1 / len(branches)``,
+    as a mollified delta placed at its start state and advected exactly by
+    its velocity over unit pseudo-time, so it lands on its end state.  The
+    branches of one start share its bump, so its occupied support range is
+    found once per start; the start's other ``mollified_delta`` calls, one
+    per branch, only keep the benchmark's traced per-branch count (README,
+    Numerical notes).  Each start is screened against the boundary margin
+    once, by its range shifted by its drift plus the lowest and the highest
+    noise point: rounding is monotone, so the screen passes exactly when
+    every branch of the start passes its own two comparisons.  Only the
+    branches of a start that fails the screen are checked one by one, in
+    order; a branch that fails its comparisons has its escaped mass
+    measured, and the first whose mass escapes raises.  The transport
+    factors over the product: each start's bump is taken to
+    eigen-coordinates once and rotated by its drift, the starts are
+    averaged, the average is multiplied by the noise factor and transformed
+    back once.  Negative spectral ringing is clipped once, on the summed
+    prior, not per branch: ringing of neighbouring bumps partly cancels,
+    and the sum is what the update step sees.
     """
-    if len(branches) == 0:
-        raise ValueError("no branches to assemble")
-    total_mass = float(branches.start_mass.sum() * branches.noise_weight.sum())
-    if abs(total_mass - 1.0) > _MASS_SUM_TOL:
-        raise ValueError(f"branch masses sum to {total_mass!r}, expected 1")
-
     lo_bound, hi_bound = _margin_bounds(grid_next)
     noise = branches.noise_value.tolist()
     noise_lo, noise_hi = _extremes(branches.noise_value)
@@ -477,12 +456,7 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
 
     scale = affine_scale(grid_next.domain)
     moved = _transport(
-        grid_next.order,
-        np.array(bumps),
-        scale * branches.drift,
-        branches.start_mass,
-        scale * branches.noise_value,
-        branches.noise_weight,
+        grid_next.order, np.array(bumps), scale * branches.drift, scale * branches.noise_value
     )
     return normalize(GridDensity(grid_next, np.maximum(moved, 0.0)))
 
@@ -553,12 +527,10 @@ def _eigensystem(order: int) -> _Eigensystem:
     return _Eigensystem(*arrays)
 
 
-def _transport(
-    order: int, bumps: np.ndarray, shifts, weights, noise_shifts, noise_weights
-) -> np.ndarray:
-    """``sum_p sum_b noise_weights[p] weights[b] expm((shifts[b] +
-    noise_shifts[p]) F_N)`` applied to row b of *bumps*, the one propagator
-    of this module.
+def _transport(order: int, bumps: np.ndarray, shifts, noise_shifts) -> np.ndarray:
+    """``1 / (S P) sum_p sum_b expm((shifts[b] + noise_shifts[p]) F_N)``
+    applied to row b of *bumps*, over the S shifts and P noise shifts: the
+    equally weighted branch sum, the one propagator of this module.
 
     *bumps* holds N + 1 nodal values per row and the result is N + 1 nodal
     values; shifts are reference-interval distances (velocity times scale
@@ -566,23 +538,27 @@ def _transport(
     folded first (the seam value, the average of its two end values, then
     its interior values) and the result's seam value is copied to both
     ends.  The propagators commute, so the double sum factors: each row is
-    taken to eigen-coordinates once and rotated by its weight and ``exp(i
-    shift omega)``, the rows are summed, and the sum is multiplied by the
-    noise factor ``sum_p noise_weights[p] exp(i noise_shifts[p] omega)``
-    before the single transform back.  Both transforms are real products and
-    the rotations of all S + P phase rows come from one real tangent of each
+    taken to eigen-coordinates once and rotated by ``exp(i shift omega)``,
+    the rows are averaged, and the average is multiplied by the noise
+    factor ``(1 / P) sum_p exp(i noise_shifts[p] omega)`` before the single
+    transform back.  Each average is a product with a vector of ``1 / n``,
+    whose rounding every answer is pinned to: a ``sum`` times ``1 / n``
+    rounds differently.  Both transforms are real products and the
+    rotations of all S + P phase rows come from one real tangent of each
     half angle (:func:`_rotation`); no cosine, sine or complex exponential
     is taken.
     """
     eig = _eigensystem(order)
     folded = bumps[:, :-1].copy()
     folded[:, 0] = 0.5 * (bumps[:, 0] + bumps[:, -1])
-    starts = len(shifts)
+    starts, noises = len(shifts), len(noise_shifts)
     rotation = _rotation(
         np.multiply.outer(np.concatenate((shifts, noise_shifts)), eig.half_omega)
     )
     coords = (folded @ eig.w).view(complex)
-    z = (weights @ (rotation[:starts] * coords)) * (noise_weights @ rotation[starts:])
+    z = (np.full(starts, 1.0 / starts) @ (rotation[:starts] * coords)) * (
+        np.full(noises, 1.0 / noises) @ rotation[starts:]
+    )
     seam_first = eig.v @ z.view(float)
     return np.concatenate([seam_first, seam_first[:1]])
 

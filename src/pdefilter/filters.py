@@ -83,34 +83,6 @@ class ScalarStateModel:
 
 
 @dataclass(frozen=True)
-class NoiseQuantization:
-    """Deterministic representative points with probability weights."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        wts = np.array(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.shape != wts.shape or pts.size == 0:
-            raise ValueError("points and weights must be equal-length 1-D arrays")
-        if not np.isfinite(pts).all():
-            raise ValueError("noise points must be finite")
-        if not np.isfinite(wts).all():
-            raise ValueError("noise weights must be finite")
-        if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("points must be strictly increasing")
-        if wts.min() <= 0.0:
-            raise ValueError("weights must be positive")
-        if abs(wts.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {wts.sum()!r}, expected 1")
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
-
-@dataclass(frozen=True)
 class PdefState:
     """Grid posterior of the density-evolution filter."""
 
@@ -169,21 +141,26 @@ def _set_count(config, name: str, minimum: int) -> None:
 _STANDARD_NORMAL = NormalDist()
 
 
-def gaussian_quantile_points(n: int, variance: float) -> NoiseQuantization:
-    """Equal-weight midpoint quantiles of a zero-mean Gaussian.
+def gaussian_quantile_points(n: int, variance: float) -> np.ndarray:
+    """The n equal-probability midpoint quantiles of a zero-mean Gaussian,
+    as an ascending, read-only 1-D array: the process-noise points of
+    :func:`pdef_step`, each standing for probability 1/n.
 
     Points sit at the inverse normal CDF of (2i + 1) / (2n), scaled by the
-    standard deviation; each carries weight 1/n.  The inverse CDF is the
-    standard library's ``statistics.NormalDist().inv_cdf`` (Wichura's
-    AS241 rational approximations), within 6 ulps of the exact quantile for
-    every n up to 256; n = 1 gives exactly 0.
+    standard deviation.  The inverse CDF is the standard library's
+    ``statistics.NormalDist().inv_cdf`` (Wichura's AS241 rational
+    approximations), within 6 ulps of the exact quantile for every n up to
+    256; n = 1 gives exactly 0.  A variance that is not positive and finite
+    (NaN or infinity included) raises ``ValueError``.
     """
     n = checked_count("n", n, 1)
-    if not variance > 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     probs = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     standard = np.array([_STANDARD_NORMAL.inv_cdf(p) for p in probs.tolist()])
-    return NoiseQuantization(standard * math.sqrt(variance), np.full(n, 1.0 / n))
+    points = standard * math.sqrt(variance)
+    points.setflags(write=False)
+    return points
 
 
 def gaussian_likelihood(y, y_pred, obs_variance: float):
@@ -251,22 +228,26 @@ _PDEF_ATTEMPTS = 6
 def pdef_step(
     state: PdefState,
     model: ScalarStateModel,
-    noise: NoiseQuantization,
+    noise: np.ndarray,
     k: int,
     y_k: float,
     cfg: PdefConfig = PdefConfig(),
 ) -> PdefState:
     """One predict/update recursion of the density-evolution filter.
 
-    Prediction decomposes the posterior into branches, selects a fresh grid
-    covering their starts and ends with margin, and assembles the transported
-    prior there; the update multiplies the prior by the observation
-    likelihood at the nodes and renormalizes.
+    Prediction decomposes the posterior into equally weighted branches,
+    the product of ``cfg.state_quantiles`` posterior quantiles with the
+    process-noise points *noise* (a 1-D array, normally
+    :func:`gaussian_quantile_points`), selects a fresh grid covering their
+    starts and ends with margin, and assembles the transported prior there;
+    the update multiplies the prior by the observation likelihood at the
+    nodes and renormalizes.
 
     Raises
     ------
     ValueError
-        If ``y_k`` is NaN or infinite, before any model call.
+        If ``y_k`` is NaN or infinite, before any model call; if *noise* is
+        empty, not 1-D or not finite.
     DomainEscapeError
         If the transported mass still crosses the boundary margin after six
         attempts, each with a margin 1.6 times wider; the message names the

@@ -28,9 +28,9 @@ from pdefilter.chebyshev import (
     barycentric_interp,
     cc_weights,
     diff_matrix,
-    gauss_lobatto_nodes,
 )
 
+from _helpers import gauss_lobatto_nodes, l1_distance
 from _oracles import gaussian_pdf, grid_bayes_filter, kalman_filter, taylor_expm
 
 
@@ -175,7 +175,7 @@ def test_criterion_03_matrix_exponential():
         basis = np.eye(order + 1)
         basis[0, order] = 1.0
         return np.column_stack(
-            [dn._transport(order, basis[j:j + 1], [shift], [1.0], [0.0], [1.0])[:-1]
+            [dn._transport(order, basis[j:j + 1], [shift], [0.0])[:-1]
              for j in range(order)]
         )
 
@@ -236,7 +236,7 @@ def test_criterion_05_advection_oracle():
     )
     # one transport of the whole density, ringing clipped
     shift = velocity * dn.affine_scale(grid.domain)
-    values = dn._transport(grid.order, start.values[None, :], [shift], [1.0], [0.0], [1.0])
+    values = dn._transport(grid.order, start.values[None, :], [shift], [0.0])
     moved = dn.GridDensity(grid, np.maximum(values, 0.0))
     expected = gaussian_pdf(grid.nodes, center + velocity, sigma**2)
     linf = float(np.abs(moved.values - expected).max())
@@ -343,7 +343,7 @@ def test_criterion_08_bayes_update_properties():
     domain = dn.prediction_domain(branches, 99, 1.0)
     prior = dn.assemble_prior(branches, SpectralGrid.build(99, domain))
     stepped = flt.pdef_step(state, model, noise, 1, 0.3, cfg)
-    flat_lik_l1 = dn.l1_distance(stepped.posterior, prior)
+    flat_lik_l1 = l1_distance(stepped.posterior, prior)
 
     base = dn.GridDensity(grid, gaussian_pdf(grid.nodes, -0.2, 0.8))
     scaled = dn.GridDensity(grid, 7.0 * base.values)

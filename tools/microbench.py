@@ -20,7 +20,8 @@ and prints the best time per call over ``--repeat`` rounds, in
 microseconds.  Each round runs as many calls as fill about 0.2 s.  The
 script imports the package only, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` times that checkout on the same inputs, if its
-``_transport`` takes nodal rows as this one does.
+``_transport`` has this one's signature: ``(order, bumps, shifts,
+noise_shifts)`` on nodal rows, with every branch equally weighted.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
     layers = {
         "assemble_prior": (lambda: dn.assemble_prior(branches, grid), 1),
         "_transport": (lambda: dn._transport(
-            grid.order, bumps, scale * branches.drift, branches.start_mass,
-            scale * branches.noise_value, branches.noise_weight,
+            grid.order, bumps, scale * branches.drift, scale * branches.noise_value
         ), 1),
         "density_quantiles": (lambda: dn.density_quantiles(posterior, probs), 1),
         "bump build": (builds, 2),
