@@ -289,8 +289,15 @@ def folded_generator(order: int) -> np.ndarray:
 
 def model_output(name: str, value, shape: tuple, k: int):
     """A model function's output, checked: a float for ``shape == ()``,
-    otherwise a float array broadcast to *shape* (so a model that ignores
-    its input may return a scalar).
+    otherwise a float array of *shape*.
+
+    An output that is exactly a float64 ``np.ndarray`` of *shape* is
+    returned as it is, not copied; no filter writes to it, so a model may
+    return a read-only array or one it keeps.  Any other output (another
+    dtype, a list, a scalar, a size-1 array, an ndarray subclass) is
+    converted to float and broadcast to *shape*, so a model that ignores
+    its input may return a scalar.  Finiteness is read from the two
+    extremes (:func:`_extremes`), which are a NaN if there is one.
 
     Raises
     ------
@@ -302,8 +309,12 @@ def model_output(name: str, value, shape: tuple, k: int):
         out = float(value)
         finite = math.isfinite(out)
     else:
-        out = np.broadcast_to(np.asarray(value, dtype=float), shape)
-        finite = bool(np.isfinite(out).all())
+        if type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape:
+            out = value
+        else:
+            out = np.broadcast_to(np.asarray(value, dtype=float), shape)
+        lo, hi = _extremes(out)
+        finite = -math.inf < lo and hi < math.inf
     if not finite:
         raise FilterDivergenceError(
             f"model {name} returned a non-finite value at step {k}"

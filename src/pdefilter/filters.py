@@ -16,6 +16,7 @@ explicitly, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -99,7 +100,8 @@ class PfState:
         parts = np.array(self.particles, dtype=float)
         if parts.ndim != 1 or parts.size == 0:
             raise ValueError("particles must be a nonempty 1-D array")
-        if not np.isfinite(parts).all():
+        lo, hi = density_mod._extremes(parts)
+        if not (-math.inf < lo and hi < math.inf):
             raise ValueError("particles must be finite")
         parts.setflags(write=False)
         object.__setattr__(self, "particles", parts)
@@ -166,21 +168,43 @@ def gaussian_quantile_points(n: int, variance: float) -> np.ndarray:
 def gaussian_likelihood(y, y_pred, obs_variance: float):
     """Normal density of the innovation ``y - y_pred`` with the given variance.
 
-    Broadcasts over array-valued ``y_pred`` (e.g. grid nodes or particles).
-    An infinite variance, which makes every likelihood 0, is refused.
+    Broadcasts over array-valued ``y_pred`` (e.g. grid nodes or particles),
+    returning a fresh array; 0-d inputs give a Python float.  An infinite
+    variance, which makes every likelihood 0, is refused.
+
+    The array is computed in place, in the order of
+    ``exp(-0.5 * r * r / var) / sqrt(2 pi var)`` with ``r = y - y_pred``:
+    ``-0.5 r``, times ``r``, over ``var``, ``exp``, over the root, so every
+    rounding, the far-tail underflow to 0 included, is that expression's.
     """
     if not 0.0 < obs_variance < math.inf:
         raise ValueError(f"observation variance must be positive and finite, got {obs_variance}")
     resid = np.asarray(y, dtype=float) - np.asarray(y_pred, dtype=float)
-    out = np.exp(-0.5 * resid * resid / obs_variance) / math.sqrt(
-        2.0 * math.pi * obs_variance
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    norm = math.sqrt(2.0 * math.pi * obs_variance)
+    if resid.ndim == 0:
+        return float(np.exp(-0.5 * resid * resid / obs_variance) / norm)
+    out = np.multiply(resid, -0.5)
+    out *= resid
+    out /= obs_variance
+    np.exp(out, out=out)
+    out /= norm
+    return out
 
 
 def _observed(y_k, k: int) -> float:
-    """The observation ``y_k`` as a float, rejected if NaN or infinite."""
-    y = float(y_k)
+    """The observation ``y_k`` as a float.
+
+    A real number is taken: a Python or numpy integer or float.  A bool, a
+    string, an array of any shape and anything else is refused, as is a NaN
+    or infinite value; each with a ``ValueError`` naming ``y_k`` and step
+    *k*.
+    """
+    if type(y_k) is float:
+        y = y_k
+    elif isinstance(y_k, numbers.Real) and not isinstance(y_k, bool):
+        y = float(y_k)
+    else:
+        raise ValueError(f"observation y_k must be a real number, got {y_k!r} at step {k}")
     if not math.isfinite(y):
         raise ValueError(f"observation y_k must be finite, got {y} at step {k}")
     return y
@@ -246,8 +270,8 @@ def pdef_step(
     Raises
     ------
     ValueError
-        If ``y_k`` is NaN or infinite, before any model call; if *noise* is
-        empty, not 1-D or not finite.
+        If ``y_k`` is not a real number or is NaN or infinite, before any
+        model call; if *noise* is empty, not 1-D or not finite.
     DomainEscapeError
         If the transported mass still crosses the boundary margin after six
         attempts, each with a margin 1.6 times wider; the message names the
@@ -309,7 +333,8 @@ def pf_step(
     Raises
     ------
     ValueError
-        If ``y_k`` is NaN or infinite, before any model call.
+        If ``y_k`` is not a real number or is NaN or infinite, before any
+        model call.
     WeightUnderflowError
         If every reweighted particle weight underflows to zero.
     FilterDivergenceError
@@ -335,12 +360,14 @@ def pf_step(
 
 
 # n_out at and above which systematic_resample counts offspring in one
-# linear pass instead of binary-searching each position.  Best of five
-# timings per call on random weights with n equal to n_out, one 2-vCPU host,
-# one BLAS thread (binary search / linear pass, microseconds): 13 / 24 at
-# 100, 23 / 34 at 300, 45 / 48 at 1000, 41 / 43 at 1200, 79 / 73 at 1400,
-# 103 / 80 at 2000 and 541 / 230 at 10^4.
-_LINEAR_RESAMPLE_MIN = 1024
+# linear pass instead of binary-searching each position.  Best time per call
+# over 15 to 25 rounds that alternate the two paths, on random weights with
+# n equal to n_out, one 2-vCPU host, one BLAS thread (binary search / linear
+# pass, microseconds): 7.6 / 16.8 at 100, 11.8 / 20.2 at 300, 18.1 / 25.4
+# at 600, 27.2 / 29.3 at 1024, 30.9 / 31.3 at 1200, 32.7 / 32.5 at 1250,
+# 34.7 / 32.5 at 1300, 38.7 / 36.2 at 1400, 57.3 / 45.2 at 2000 and
+# 334 / 160 at 10^4.
+_LINEAR_RESAMPLE_MIN = 1250
 
 
 def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
@@ -351,13 +378,13 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     count of index i is fixed by u0 alone; with uniform weights and
     ``n_out`` equal to the input size every index appears exactly once.
 
-    Below ``n_out = 1024`` each position is binary-searched in the
-    cumulative weights, O(n_out log n).  From 1024 on, the offspring are
+    Below ``n_out = 1250`` each position is binary-searched in the
+    cumulative weights, O(n_out log n).  From 1250 on, the offspring are
     counted in one linear pass (Hol, Schoen & Gustafsson, NSSPW 2006): the
     number of positions strictly below cumulative weight c is guessed as
     ``ceil(c * n_out - u0)`` from the even spacing, then corrected by
     comparing c with the two positions next to the guess, computed by the
-    same expression as the positions searched below 1024.  In units of the
+    same expression as the positions searched below 1250.  In units of the
     spacing the guess and the positions are off by a few ulps of ``n_out``
     while the positions lie a whole unit apart, so for any ``n_out`` far
     below 2^50 the guess is at most one off and the corrected counts, and
@@ -373,7 +400,8 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"weights must be a nonempty 1-D array, got shape {w.shape}")
-    if not w.min() >= 0.0:
+    # argmin picks the first NaN, so one pick refuses NaN and negatives
+    if not w.item(w.argmin()) >= 0.0:
         raise ValueError("weights must be finite and nonnegative")
     total = w.sum()
     if not abs(total - 1.0) <= 1e-9:
@@ -383,9 +411,13 @@ def systematic_resample(weights, n_out: int, u0: float) -> np.ndarray:
     n_out = checked_count("n_out", n_out, 1)
     # the last index takes every position at or past the second-to-last
     # cumulative weight, also one that rounds up to 1.0
-    inner = np.cumsum(w[:-1])
+    inner = w[:-1].cumsum()
     if n_out < _LINEAR_RESAMPLE_MIN:
-        return np.searchsorted(inner, (u0 + np.arange(n_out)) / n_out, side="right")
+        # (u0 + j) / n_out, built in place
+        positions = np.arange(n_out, dtype=float)
+        positions += u0
+        positions /= n_out
+        return inner.searchsorted(positions, side="right")
     # positions strictly below each inner cumulative weight: the guess g,
     # then checked against positions g - 1 and g
     below = np.ceil(inner * n_out - u0)
@@ -436,7 +468,8 @@ def ukf_step(state: UkfState, model: ScalarStateModel, k: int, y_k: float) -> Uk
     Raises
     ------
     ValueError
-        If ``y_k`` is NaN or infinite, before any model call.
+        If ``y_k`` is not a real number or is NaN or infinite, before any
+        model call.
     FilterDivergenceError
         If the model returns a non-finite value or the moments overflow.
     """

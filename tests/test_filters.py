@@ -1,6 +1,7 @@
 """Filter recursions: quantization, likelihoods, Bayes updates, PF, UKF."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +173,47 @@ class TestGaussianLikelihood:
         out = flt.gaussian_likelihood(0.0, np.array([0.0, 1.0]), 1.0)
         assert out.shape == (2,)
         assert out[0] > out[1]
+
+    @staticmethod
+    def expression(y, y_pred, obs_variance):
+        """The likelihood as one numpy expression, which the in-place
+        computation must match bit for bit."""
+        resid = np.asarray(y, dtype=float) - np.asarray(y_pred, dtype=float)
+        out = np.exp(-0.5 * resid * resid / obs_variance) / math.sqrt(
+            2.0 * math.pi * obs_variance
+        )
+        return float(out) if np.ndim(out) == 0 else out
+
+    @pytest.mark.parametrize("obs_variance", [1.0, 0.01, 7.3, 1e-300, 1e300])
+    @pytest.mark.parametrize("y", [0.3, -12.5, np.array([[0.0], [40.0]])], ids=["0.3", "-12.5", "column"])
+    def test_equals_expression_bit_for_bit(self, y, obs_variance):
+        # from the peak through subnormal results to underflow at 0
+        y_pred = np.concatenate(
+            [np.linspace(-60.0, 60.0, 2001), np.random.default_rng(8).normal(0.0, 30.0, 500)]
+        )
+        y_pred_before, y_before = y_pred.copy(), np.copy(y)
+        got = flt.gaussian_likelihood(y, y_pred, obs_variance)
+        want = self.expression(y, y_pred, obs_variance)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if obs_variance == 1.0:
+            assert (got == 0.0).any() and ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+        np.testing.assert_array_equal(y_pred, y_pred_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # kept where -0.5 r r / var cannot overflow, which would warn
+        y=st.floats(-1e100, 1e100), y_pred=st.floats(-1e100, 1e100),
+        obs_variance=st.floats(1e-100, 1e100),
+    )
+    def test_scalars_equal_expression_bit_for_bit(self, y, y_pred, obs_variance):
+        for args in ((y, y_pred), (np.array(y), np.float64(y_pred))):
+            got = flt.gaussian_likelihood(*args, obs_variance)
+            assert type(got) is float
+            want = self.expression(*args, obs_variance)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want
 
     def test_bad_variance(self):
         # an infinite variance once gave likelihood 0.0, reported by a pdef
@@ -486,11 +528,20 @@ class TestSystematicResample:
 
     @pytest.mark.parametrize("n_out", [3, 2000])
     @pytest.mark.parametrize(
-        "weights", [[np.nan, 0.5, 0.5], [-0.5, 1.5], [np.inf, -np.inf, 1.0]]
+        "weights",
+        [
+            [np.nan, 0.5, 0.5], [-0.5, 1.5], [np.inf, -np.inf, 1.0],
+            [0.5, 0.5, np.nan], [0.5, 0.5, -np.inf], [0.5, 0.5, -0.0, -1e-300],
+        ],
     )
     def test_rejects_nan_infinite_or_negative_weights(self, weights, n_out):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
             flt.systematic_resample(weights, n_out, 0.5)
+
+    @pytest.mark.parametrize("n_out", [3, 2000])
+    def test_rejects_infinite_weight_by_its_sum(self, n_out):
+        with pytest.raises(ValueError, match=r"^weights sum to np.float64\(inf\), expected 1$"):
+            flt.systematic_resample([0.5, 0.5, np.inf], n_out, 0.5)
 
     @pytest.mark.parametrize("n_out", [2, 2000])
     @pytest.mark.parametrize("weights", [[[0.5, 0.5]], [[0.5], [0.5]], 1.0])
@@ -616,8 +667,97 @@ class TestNonFiniteModelOutput:
             flt.ukf_step(flt.ukf_init(model), model, 3, 0.2)
 
 
+class Tagged(np.ndarray):
+    """An ndarray subclass, which model_output converts to a plain array."""
+
+
+class TestModelOutput:
+    # an exact-shape float64 array is returned as it is; every other output
+    # is converted and broadcast; both are checked from their extremes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["exact", "converted"])
+    def test_non_finite_anywhere_is_divergence(self, bad, where, dtype):
+        value = np.linspace(-1.0, 1.0, 7).astype(dtype)
+        value[where] = bad
+        with pytest.raises(
+            FilterDivergenceError, match="^model transition returned a non-finite value at step 5$"
+        ):
+            dn.model_output("transition", value, (7,), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_broadcast_is_divergence(self, bad):
+        for value in (bad, np.array([bad])):
+            with pytest.raises(
+                FilterDivergenceError, match="^model observation .* at step 2$"
+            ):
+                dn.model_output("observation", value, (4,), 2)
+
+    def test_exact_float64_array_is_returned_as_it_is(self):
+        value = np.array([1.0, -2.0, 3.5])
+        value.setflags(write=False)
+        assert dn.model_output("transition", value, (3,), 1) is value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([1.0, -2.0, 3.5], dtype=np.float32),
+            np.array([1, -2, 3]),
+            [1.0, -2.0, 3.5],
+            np.array([1.0, -2.0, 3.5]).view(Tagged),
+            np.array([1.0, -2.0, 3.5], dtype=">f8"),
+        ],
+        ids=["float32", "int", "list", "subclass", "big-endian"],
+    )
+    def test_other_arrays_come_back_as_float64(self, value):
+        out = dn.model_output("transition", value, (3,), 1)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3,)
+        np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize("value", [2.5, 2, np.float32(2.5), np.array([2.5]), np.array(2.5)])
+    def test_scalar_and_size_one_outputs_are_broadcast(self, value):
+        out = dn.model_output("observation", value, (4,), 1)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (4,)
+        np.testing.assert_array_equal(out, np.full(4, float(np.asarray(value).item())))
+
+    def test_read_only_model_arrays_run_through_pf_and_pdef_unchanged(self):
+        returned = []
+
+        def frozen(a):
+            a = np.array(a, dtype=float)
+            a.setflags(write=False)
+            returned.append((a, a.copy()))
+            return a
+
+        model = flt.ScalarStateModel(
+            transition=lambda x, k, v: frozen(0.9 * x + v),
+            observation=lambda x, k: frozen(x * x / 20.0),
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(0.0, 1.0),
+        )
+        rng = np.random.default_rng(4)
+        pf = flt.pf_init(model, 50, rng)
+        cfg = flt.PdefConfig(grid_nodes=40, state_quantiles=4)
+        pdef = flt.pdef_init(model, cfg)
+        noise = flt.gaussian_quantile_points(4, 1.0)
+        for k in (1, 2):
+            pf = flt.pf_step(pf, model, k, 0.4, rng)
+            pdef = flt.pdef_step(pdef, model, noise, k, 0.4, cfg)
+        assert len(returned) == 8
+        for array, before in returned:
+            np.testing.assert_array_equal(array, before)
+
+
 class TestNonFiniteObservation:
-    @pytest.mark.parametrize("y_k", [np.nan, np.inf, -np.inf])
+    # NaN and infinities, then values that are not a real number: a string,
+    # bools and arrays (float() took the string and the bools, and stopped
+    # on the 1-element array with numpy's TypeError)
+    @pytest.mark.parametrize(
+        "y_k",
+        [np.nan, np.inf, -np.inf, "0.3", True, np.bool_(False), np.array([0.3]), np.array(0.3)],
+    )
     @pytest.mark.parametrize("name", ["pdef", "pf", "ukf"])
     def test_rejected_before_any_model_call(self, name, y_k):
         def never(*args):
@@ -642,8 +782,23 @@ class TestNonFiniteObservation:
             ),
             "ukf": lambda: flt.ukf_step(flt.ukf_init(model), model, 4, y_k),
         }
-        with pytest.raises(ValueError, match="observation y_k must be finite, got .* at step 4"):
+        reason = "finite" if isinstance(y_k, float) else "a real number"
+        with pytest.raises(ValueError, match=f"^observation y_k must be {reason}, got .* at step 4$"):
             steps[name]()
+
+    @pytest.mark.parametrize(
+        "y_k", [2, np.int64(2), np.float32(0.25), np.float64(0.3), Fraction(1, 3)], ids=repr
+    )
+    def test_real_numbers_are_taken_as_floats(self, y_k):
+        model = linear_model()
+        ukf = flt.ukf_init(model)
+        assert flt.ukf_step(ukf, model, 1, y_k) == flt.ukf_step(ukf, model, 1, float(y_k))
+        pf = flt.pf_init(model, 30, np.random.default_rng(1))
+        got, want = (
+            flt.pf_step(pf, model, 1, y, np.random.default_rng(2)).particles
+            for y in (y_k, float(y_k))
+        )
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEstimate:
@@ -728,6 +883,14 @@ class TestValidation:
     def test_pf_state_rejects_non_finite_particles(self):
         with pytest.raises(ValueError, match="particles must be finite"):
             flt.PfState([1.0, math.inf])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 50, 99])
+    def test_pf_state_rejects_a_non_finite_particle_anywhere(self, bad, where):
+        particles = np.linspace(-3.0, 3.0, 100)
+        particles[where] = bad
+        with pytest.raises(ValueError, match="^particles must be finite$"):
+            flt.PfState(particles)
 
     @pytest.mark.parametrize("particles", [[], [[1.0, 2.0]], 1.0])
     def test_pf_state_rejects_an_empty_or_non_1d_cloud(self, particles):

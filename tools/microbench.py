@@ -1,4 +1,4 @@
-"""In-process timings of the density filter's prediction layers.
+"""In-process timings of the density filter's prediction layers and pf_step.
 
     PYTHONPATH=src python tools/microbench.py [--repeat N] [--json]
 
@@ -16,12 +16,19 @@ of that step's successful ``assemble_prior`` call.  On those inputs it times
 - one cache hit, ``mollified_delta`` on the center it saw last, timed
   over 100 consecutive hits in a bare loop;
 
-and prints the best time per call over ``--repeat`` rounds, in
+It also times one ``pf_step`` on the growth model at 100 and 10^4
+particles (``PF_SIZES``), on the cloud a seeded pf run of ``STEPS`` steps
+at seed ``SEED`` holds entering its last step, with that step's
+observation; its draws continue that run's particle generator, which
+advances from call to call.
+
+It prints the best time per call over ``--repeat`` rounds, in
 microseconds.  Each round runs as many calls as fill about 0.2 s.  The
 script imports the package only, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` times that checkout on the same inputs, if its
 ``_transport`` has this one's signature: ``(order, bumps, shifts,
-noise_shifts)`` on nodal rows, with every branch equally weighted.
+noise_shifts)`` on nodal rows, with every branch equally weighted, and
+its ``pf_step`` this one's: ``(state, model, k, y_k, rng)``.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ SIZES = (
     ("grid150-64x64", "linear", 150, 64),
     ("grid48-4x4", "growth", 48, 4),
 )
+
+# (label, particles) of the timed pf_step, on the growth model
+PF_SIZES = (("pf-100", 100), ("pf-10000", 10_000))
 
 
 def linear_model() -> flt.ScalarStateModel:
@@ -128,6 +138,26 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
     return {name: best_us(call, repeat) / n for name, (call, n) in layers.items()}
 
 
+def pf_timings(n_particles: int, repeat: int) -> dict:
+    """Best time of one ``pf_step`` on the cloud entering the last step of a
+    seeded pf run, with that step's observation."""
+    model = benchmark_model()
+    truth_rng, rng = run_seed_streams(SEED, 0)
+    _, observations = simulate_truth(model, STEPS, truth_rng)
+    state = flt.pf_init(model, n_particles, rng)
+    for k, y in enumerate(observations[:-1].tolist(), 1):
+        state = flt.pf_step(state, model, k, y, rng)
+    y_last = float(observations[-1])
+    return {"pf_step": best_us(lambda: flt.pf_step(state, model, STEPS, y_last, rng), repeat)}
+
+
+def print_table(results: dict) -> None:
+    names = list(next(iter(results.values())))
+    print(f"{'best us per call':<20}" + "".join(f"{label:>16}" for label in results))
+    for name in names:
+        print(f"{name:<20}" + "".join(f"{r[name]:>16.2f}" for r in results.values()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed rounds per layer (default 7)")
@@ -140,13 +170,14 @@ def main(argv=None) -> int:
         label: size_timings(models[model](), nodes, points, args.repeat)
         for label, model, nodes, points in SIZES
     }
+    pf_results = {label: pf_timings(n, args.repeat) for label, n in PF_SIZES}
     if args.json:
-        print(json.dumps({label: {k: round(v, 3) for k, v in r.items()} for label, r in results.items()}))
+        every = {**results, **pf_results}
+        print(json.dumps({label: {k: round(v, 3) for k, v in r.items()} for label, r in every.items()}))
         return 0
-    names = list(next(iter(results.values())))
-    print(f"{'best us per call':<20}" + "".join(f"{label:>16}" for label in results))
-    for name in names:
-        print(f"{name:<20}" + "".join(f"{r[name]:>16.2f}" for r in results.values()))
+    print_table(results)
+    print()
+    print_table(pf_results)
     return 0
 
 
