@@ -72,6 +72,22 @@ _MASS_FLOOR = 1e-300
 # standard deviation of a mollified delta, in mean node gaps next to its center
 _BUMP_WIDTH = 1.5
 
+# bump widths that a start's bump keeps inside the margin bounds after its
+# extreme shifts, so that assemble_prior's escape check, which lets 1e-6 of
+# a bump's mass cross, does not trip.  The check sums the nodal tail past
+# the bound by quadrature, and its first node carries a whole node gap of
+# weight, so the Gaussian tail beyond C sigma (5.7e-7 for both tails at 5)
+# is not the bound: with the bump's center exactly C widths inside one bound
+# and at least C inside the other, the largest escaped share found over
+# every order from 28 to 150 that admits a margin and 1601 start positions
+# on [-0.97, 0.97] of the reference grid was 3.0e-6 at C = 5, 8.1e-7 at 5.2
+# and 6.3e-7 at 5.25.  Each further width costs resolution on coarse grids.
+_CLEARANCE = 5.25
+
+# rounds of prediction_domain's per-start margin solve before it falls back
+# to the widest bump's closed form
+_DOMAIN_ROUNDS = 4
+
 # smallest normal double; GridDensity stores smaller values as 0.0
 _TINY = float(np.finfo(float).tiny)
 
@@ -390,27 +406,89 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
     return grid.domain.lo + grid.domain.width * fraction
 
 
-def prediction_domain(
-    branches: Branches, order: int, process_std: float, margin_scale: float = 1.0
-) -> Interval:
-    """Pick the grid interval for the next prediction step.
+def prediction_domain(branches: Branches, order: int, process_std: float) -> Interval:
+    """Pick the grid interval for the next prediction step: one that every
+    start's bump clears.
 
-    Covers every branch start and end with a margin of four process-noise
-    standard deviations plus four estimated mollification widths, so the
-    transported bumps and their tails stay clear of the boundaries.  The
+    The interval covers every branch start and end, ``[lo, hi]``; the
     extreme ends are the extreme noise-free ends ``start + drift`` plus the
-    extreme noise points.  ``margin_scale`` widens the margin when a
-    previous attempt tripped the boundary check (coarse grids carry wide
-    bumps with long tails).
+    extreme noise points.  Its margin on each side starts at four
+    process-noise standard deviations plus four estimated mollification
+    widths, ``m0 = 4 (process_std + 1.5 span / order)``, and is only ever
+    widened, until each start's bump, after its lowest and its highest
+    shift, stays 5.25 of its widths inside the margin bounds (two nominal
+    node spacings in from each end), with the width that
+    :func:`mollification_sigma` gives it on the returned grid.
+
+    A bump's width is a fixed fraction ``rho`` of the domain width W, read
+    from the reference grid at the start's reference position, so a start
+    whose extreme end reaches ``e <= 0`` past ``lo`` or ``hi`` clears exactly
+    when ``m >= (e + k span) / (1 - 2 k)`` with ``k = 2 / order + 5.25 rho``.
+    When the widest bump of the order, ``rho_max``, clears from the very
+    end at ``m0``, ``m0`` is returned as it is.  Otherwise the margin is
+    solved per start, re-reading each ``rho`` at the widened width, for up
+    to four rounds; failing that, ``rho_max``'s closed form, which every
+    start clears, is taken.
+
+    Raises
+    ------
+    DomainEscapeError
+        If no margin can hold the widest bump, ``1 - 2 k_max <= 0``: an
+        order of 28 or less (``grid_nodes`` 29 or less) whatever the model.
+        The message names ``grid_nodes``.
     """
+    ref, widest = _reference_widths(order)
+    k_max = 2.0 / order + _CLEARANCE * widest
+    if not 1.0 - 2.0 * k_max > 0.0:
+        raise DomainEscapeError(
+            f"no domain keeps a bump of {_BUMP_WIDTH:g} node spacings "
+            f"{_CLEARANCE:g} widths inside the boundary margin at "
+            f"grid_nodes={order + 1}; the grid is too coarse"
+        )
     start_lo, start_hi = _extremes(branches.start_state)
-    end_lo, end_hi = _extremes(branches.start_state + branches.drift)
+    ends = branches.start_state + branches.drift
+    end_lo, end_hi = _extremes(ends)
     noise_lo, noise_hi = _extremes(branches.noise_value)
     lo = min(start_lo, end_lo + noise_lo)
     hi = max(start_hi, end_hi + noise_hi)
-    sigma_est = _BUMP_WIDTH * (hi - lo) / order
-    margin = 4.0 * (process_std + sigma_est) * margin_scale
+    span = hi - lo
+    margin = 4.0 * (process_std + _BUMP_WIDTH * span / order)
+    if margin >= k_max * (span + 2.0 * margin):
+        return Interval(lo - margin, hi + margin)
+    # how far each start's lowest or highest end reaches past lo or hi: at
+    # most 0, since [lo, hi] covers every end
+    excess = [max(lo - (e + noise_lo), (e + noise_hi) - hi) for e in ends.tolist()]
+    starts = branches.start_state.tolist()
+    middle = lo + hi
+    for _ in range(_DOMAIN_ROUNDS):
+        width = span + 2.0 * margin
+        needed = margin
+        for start, e in zip(starts, excess):
+            rho = 0.5 * mollification_sigma(ref, (2.0 * start - middle) / width)
+            k = 2.0 / order + _CLEARANCE * rho
+            needed = max(needed, (e + k * span) / (1.0 - 2.0 * k))
+        if needed == margin:
+            return Interval(lo - margin, hi + margin)
+        margin = needed
+    margin = max(margin, (max(excess) + k_max * span) / (1.0 - 2.0 * k_max))
     return Interval(lo - margin, hi + margin)
+
+
+# typed, as diff_matrix is: an order-47 entry never answers order 47.0
+@lru_cache(maxsize=32, typed=True)
+def _reference_widths(order: int) -> tuple[SpectralGrid, float]:
+    """The order-*order* grid on [-1, 1] and ``rho_max``, the widest bump
+    width per unit domain width on any order-*order* grid.
+
+    A bump's width is 1.5 mean node gaps, and the physical gaps are the
+    reference gaps times half the domain width, so the width of a bump at
+    reference position ``xi`` is ``W mollification_sigma(ref, xi) / 2``.
+    The widest is at a node near the middle, where the gaps are widest; an
+    order-1 grid has no interior node, and its one width is read at 0.
+    """
+    ref = SpectralGrid.build(order, Interval(-1.0, 1.0))
+    centers = ref.node_list[1:-1] or [0.0]
+    return ref, 0.5 * max(mollification_sigma(ref, x) for x in centers)
 
 
 def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
@@ -428,7 +506,8 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
     every branch of the start passes its own two comparisons.  Only the
     branches of a start that fails the screen are checked one by one, in
     order; a branch that fails its comparisons has its escaped mass
-    measured, and the first whose mass escapes raises.  The transport
+    measured against the start's mass, which is summed once per failing
+    start, and the first whose mass escapes raises.  The transport
     factors over the product: each start's bump is taken to
     eigen-coordinates once and rotated by its drift, the starts are
     averaged, the average is multiplied by the noise factor and transformed
@@ -456,14 +535,18 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
                 mollified_delta(grid_next, start)
             continue
         # each branch of a failing start is checked right after its call, so
-        # an escape stops the calls at the offending branch
+        # an escape stops the calls at the offending branch; at least one
+        # of them fails its comparisons and has the start's mass measured
+        total = float(grid_next.physical_weights @ values)
         for p, v in enumerate(noise):
             if p:
                 mollified_delta(grid_next, start)
             velocity = drift + v
             if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
                 label = f"branch {s * len(noise) + p}"
-                _check_escaped_mass(grid_next, values, velocity, (lo, hi), label)
+                _check_escaped_mass(
+                    grid_next, values, total, velocity, (lo, hi), (lo_bound, hi_bound), label
+                )
 
     scale = affine_scale(grid_next.domain)
     moved = _transport(
@@ -608,17 +691,16 @@ def _support_range(grid, values):
     return nodes[occupied[0]], nodes[occupied[-1]]
 
 
-def _check_escaped_mass(grid, values, shift, support, label):
-    """Raise unless at most 1e-6 of the mass of *values* shifted by *shift*
-    lands outside the margin bounds; *support* is the unshifted range and
-    *label* names the branch in the message."""
+def _check_escaped_mass(grid, values, total, shift, support, bounds, label):
+    """Raise unless at most 1e-6 of *total*, the mass of *values*, shifted
+    by *shift* lands outside *bounds*, the margin bounds; *support* is the
+    unshifted range and *label* names the branch in the message."""
     # the 1e-12-of-peak support reaches far into tails that hold no
     # measurable mass; only raise when actual mass crosses
-    lo_bound, hi_bound = _margin_bounds(grid)
+    lo_bound, hi_bound = bounds
     shifted = grid.nodes + shift
     outside = (shifted < lo_bound) | (shifted > hi_bound)
     escaped = float(grid.physical_weights[outside] @ values[outside])
-    total = float(grid.physical_weights @ values)
     if escaped > 1e-6 * total:
         lo, hi = support[0] + shift, support[1] + shift
         raise DomainEscapeError(

@@ -25,7 +25,7 @@ import numpy as np
 from . import density as density_mod
 from .chebyshev import Interval, SpectralGrid, checked_count
 from .density import GridDensity, assemble_prior, make_branches, model_output, prediction_domain
-from .errors import DomainEscapeError, FilterDivergenceError, WeightUnderflowError
+from .errors import FilterDivergenceError, WeightUnderflowError
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,10 @@ class PdefConfig:
     equal-probability posterior points entering each prediction.  The
     mollification width is fixed at 1.5 node spacings
     (:func:`~pdefilter.density.mollified_delta`).  ``grid_nodes`` of 4 is
-    accepted, but on the growth model every run fails below about 32 nodes
-    (ROADMAP item 4).
+    accepted, but :func:`~pdefilter.density.prediction_domain` refuses every
+    step at 29 nodes or fewer, and on the growth model with 16 x 16 branches
+    every run from 30 to 36 nodes loses its posterior mass; 40 is the
+    smallest grid measured to complete (README, Command line).
     """
 
     grid_nodes: int = 100
@@ -165,6 +167,10 @@ def gaussian_quantile_points(n: int, variance: float) -> np.ndarray:
     return points
 
 
+# as a decorator the overflow guard cost about 0.8 us per call at 100
+# entries, against 1.4 to 2.1 us in a with statement, which builds an
+# errstate object per call
+@np.errstate(over="ignore")
 def gaussian_likelihood(y, y_pred, obs_variance: float):
     """Normal density of the innovation ``y - y_pred`` with the given variance.
 
@@ -176,6 +182,9 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     ``exp(-0.5 * r * r / var) / sqrt(2 pi var)`` with ``r = y - y_pred``:
     ``-0.5 r``, times ``r``, over ``var``, ``exp``, over the root, so every
     rounding, the far-tail underflow to 0 included, is that expression's.
+    An exponent too large for a double (an innovation beyond about 1.9e154
+    at unit variance) overflows to ``-inf``, whose ``exp`` is the
+    likelihood 0, without a warning.
     """
     if not 0.0 < obs_variance < math.inf:
         raise ValueError(f"observation variance must be positive and finite, got {obs_variance}")
@@ -245,10 +254,6 @@ def posterior_update(prior: GridDensity, likelihood_values) -> GridDensity:
     return density_mod.normalize(GridDensity(prior.grid, prior.values * lik))
 
 
-# prediction attempts per step; each retry widens the domain margin 1.6-fold
-_PDEF_ATTEMPTS = 6
-
-
 def pdef_step(
     state: PdefState,
     model: ScalarStateModel,
@@ -262,10 +267,11 @@ def pdef_step(
     Prediction decomposes the posterior into equally weighted branches,
     the product of ``cfg.state_quantiles`` posterior quantiles with the
     process-noise points *noise* (a 1-D array, normally
-    :func:`gaussian_quantile_points`), selects a fresh grid covering their
-    starts and ends with margin, and assembles the transported prior there;
-    the update multiplies the prior by the observation likelihood at the
-    nodes and renormalizes.
+    :func:`gaussian_quantile_points`), selects a fresh grid that every
+    start's bump clears after its extreme shifts
+    (:func:`~pdefilter.density.prediction_domain`), and assembles the
+    transported prior there, in one attempt; the update multiplies the
+    prior by the observation likelihood at the nodes and renormalizes.
 
     Raises
     ------
@@ -273,31 +279,19 @@ def pdef_step(
         If ``y_k`` is not a real number or is NaN or infinite, before any
         model call; if *noise* is empty, not 1-D or not finite.
     DomainEscapeError
-        If the transported mass still crosses the boundary margin after six
-        attempts, each with a margin 1.6 times wider; the message names the
-        attempts, the final margin scale and ``grid_nodes``.
+        If ``grid_nodes`` is 29 or less, which no domain can serve (the
+        message names ``grid_nodes``), before any bump is built; or if more
+        than 1e-6 of a branch's mass still crosses the boundary margin (the
+        message names the branch).
     FilterDivergenceError
         If the posterior mass collapses below threshold or the model returns
         a non-finite value.
     """
     y_obs = _observed(y_k, k)
     branches = make_branches(state.posterior, noise, model, k, cfg.state_quantiles)
-    margin_scale = 1.0
-    for attempt in range(1, _PDEF_ATTEMPTS + 1):
-        domain = prediction_domain(
-            branches, cfg.grid_nodes - 1, model.process_noise.std, margin_scale
-        )
-        grid = SpectralGrid.build(cfg.grid_nodes - 1, domain)
-        try:
-            prior = assemble_prior(branches, grid)
-            break
-        except DomainEscapeError as err:
-            if attempt == _PDEF_ATTEMPTS:
-                raise DomainEscapeError(
-                    f"{err} (after {attempt} attempts, final margin scale "
-                    f"{margin_scale:.4g}, grid_nodes={cfg.grid_nodes})"
-                ) from err
-            margin_scale *= 1.6
+    order = cfg.grid_nodes - 1
+    grid = SpectralGrid.build(order, prediction_domain(branches, order, model.process_noise.std))
+    prior = assemble_prior(branches, grid)
     predicted = model_output(
         "observation", model.observation(grid.nodes, k), grid.nodes.shape, k
     )

@@ -72,7 +72,9 @@ def per_branch_prior(branches, grid):
         bump = dn.mollified_delta(grid, start).values
         lo, hi = dn._support_range(grid, bump)
         if not (lo + v >= lo_bound and hi + v <= hi_bound):
-            dn._check_escaped_mass(grid, bump, v, (lo, hi), f"branch {i}")
+            total = float(grid.physical_weights @ bump)
+            bounds = (lo_bound, hi_bound)
+            dn._check_escaped_mass(grid, bump, total, v, (lo, hi), bounds, f"branch {i}")
         bumps.append(bump)
     values = dn._transport(
         grid.order, np.array(bumps), dn.affine_scale(grid.domain) * velocity, [0.0]
@@ -174,7 +176,9 @@ def screenless_prior(branches, grid):
             velocity = drift + v
             if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
                 label = f"branch {s * len(noise) + p}"
-                dn._check_escaped_mass(grid, bump.values, velocity, (lo, hi), label)
+                total = float(grid.physical_weights @ bump.values)
+                bounds = (lo_bound, hi_bound)
+                dn._check_escaped_mass(grid, bump.values, total, velocity, (lo, hi), bounds, label)
     scale = dn.affine_scale(grid.domain)
     values = dn._transport(
         grid.order, np.array(bumps), scale * branches.drift, scale * branches.noise_value
@@ -828,6 +832,124 @@ class TestDensityQuantiles:
         mirrored = np.concatenate((halves[:, 0], halves[-2::-1, 1]))
         full = barycentric_matrix(order, np.linspace(-1.0, 1.0, mesh.size)) @ v
         assert np.abs(mirrored - full).max() <= 1e-13
+
+
+def fixed_margin(branches, order, process_std):
+    """The lowest and highest branch start or end, ``lo`` and ``hi``, and
+    the margin ``m0 = 4 (process_std + 1.5 (hi - lo) / order)``."""
+    starts = branches.start_state
+    ends = starts + branches.drift
+    lo = min(starts.min(), ends.min() + branches.noise_value.min())
+    hi = max(starts.max(), ends.max() + branches.noise_value.max())
+    return lo, hi, 4.0 * (process_std + 1.5 * (hi - lo) / order)
+
+
+def clearances(branches, grid):
+    """Per start, the distances in bump widths between the margin bounds
+    and its bump's center after its lowest and its highest shift, with the
+    width the bump gets on *grid*, and that width; and the rounding of the
+    distances."""
+    lo_bound, hi_bound = dn._margin_bounds(grid)
+    noise_lo, noise_hi = branches.noise_value.min(), branches.noise_value.max()
+    out = []
+    for start, drift in zip(branches.start_state.tolist(), branches.drift.tolist()):
+        sigma = dn.mollification_sigma(grid, start)
+        low = (start + drift + noise_lo - lo_bound) / sigma
+        high = (hi_bound - (start + drift + noise_hi)) / sigma
+        out.append((low, high, sigma))
+    # the margin is solved in floating point from the domain's ends, so a
+    # binding start clears to within a few roundings of the ends' size
+    rounding = 1e-13 * (abs(grid.domain.lo) + abs(grid.domain.hi))
+    return out, rounding
+
+
+@st.composite
+def spread_branches(draw):
+    """Up to 8 starts spread over a width far beyond the process noise, so
+    that the fixed margin is often too narrow and the per-start solve and
+    its fallback run."""
+    size = draw(st.integers(1, 8))
+    center = draw(st.floats(-1e3, 1e3))
+    starts = [center + d for d in draw(st.lists(st.floats(-60.0, 60.0), min_size=size, max_size=size))]
+    drifts = draw(st.lists(st.floats(-40.0, 40.0), min_size=size, max_size=size))
+    noise = draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    return product_of(starts, drifts, noise)
+
+
+class TestPredictionDomain:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        branches=spread_branches(),
+        order=st.integers(40, 150),
+        process_std=st.floats(1e-3, 10.0),
+        rounds=st.sampled_from([dn._DOMAIN_ROUNDS, 1, 0]),
+    )
+    def test_every_start_clears_the_margin_by_5_25_widths(
+        self, branches, order, process_std, rounds
+    ):
+        # rounds 1 and 0 force the fallback to the widest bump's closed form
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dn, "_DOMAIN_ROUNDS", rounds)
+            domain = dn.prediction_domain(branches, order, process_std)
+        lo, hi, margin = fixed_margin(branches, order, process_std)
+        assert domain.lo <= lo - margin and hi + margin <= domain.hi
+        grid = SpectralGrid.build(order, domain)
+        per_start, rounding = clearances(branches, grid)
+        for low, high, sigma in per_start:
+            assert low >= 5.25 - rounding / sigma
+            assert high >= 5.25 - rounding / sigma
+
+    @pytest.mark.parametrize("case", ["growth-16x16", "linear-64x64"])
+    def test_fixed_margin_kept_bit_for_bit_when_the_widest_bump_clears(self, case):
+        # a benchmark-sized step: the widest bump of the order clears from the
+        # very end at the fixed margin, so the interval is the fixed formula's
+        branches, grid = prediction_step(case)
+        order = grid.order
+        std = 1.0 if case.startswith("linear") else benchmark_model().process_noise.std
+        lo, hi, margin = fixed_margin(branches, order, std)
+        widest = dn._reference_widths(order)[1]
+        assert margin >= (2.0 / order + 5.25 * widest) * (hi - lo + 2.0 * margin)
+        assert (grid.domain.lo, grid.domain.hi) == (lo - margin, hi + margin)
+
+    def test_escape_check_stays_quiet_where_five_widths_tripped_it(self):
+        # a grid-48, 4 x 4 step of the growth model: at a clearance of 5
+        # widths start 1's highest branch sits exactly 5 widths inside the
+        # bound, and the quadrature puts 1.003e-6 of its mass past it
+        branches = product_of(
+            [-3.8748406283054386, 1.5603462353961817, 3.799800917715551, 5.657157101522046],
+            [3.569784403603067, 18.2584776663397, 11.934592180283303, 9.13806386815955],
+            [-3.6377241469515873, -1.007626142314805, 1.007626142314805, 3.6377241469515873],
+        )
+        std = benchmark_model().process_noise.std
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dn, "_CLEARANCE", 5.0)
+            grid = SpectralGrid.build(47, dn.prediction_domain(branches, 47, std))
+            with pytest.raises(DomainEscapeError, match="for branch 7 crosses"):
+                dn.assemble_prior(branches, grid)
+        grid = SpectralGrid.build(47, dn.prediction_domain(branches, 47, std))
+        assert dn.integrate(dn.assemble_prior(branches, grid)) == pytest.approx(1.0)
+
+    def test_widest_width_bounds_every_bump(self):
+        # rho_max is the largest bump width per unit domain width, read on
+        # [-1, 1]; on a physical grid every node's bump is at most it
+        for order in (27, 47, 99, 149):
+            widest = dn._reference_widths(order)[1]
+            grid = SpectralGrid.build(order, Interval(-3.0, 17.0))
+            mids = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
+            sigmas = [dn.mollification_sigma(grid, x) for x in grid.nodes[1:-1].tolist() + mids.tolist()]
+            assert max(sigmas) == pytest.approx(widest * grid.domain.width, rel=1e-12)
+
+    @pytest.mark.parametrize("grid_nodes", [4, 16, 28, 29])
+    def test_grids_of_29_nodes_or_fewer_are_refused(self, grid_nodes):
+        branches = product_of([0.0], [1.0], [0.0])
+        with pytest.raises(DomainEscapeError, match=f"grid_nodes={grid_nodes};"):
+            dn.prediction_domain(branches, grid_nodes - 1, 1.0)
+
+    def test_30_nodes_are_served(self):
+        branches = product_of([0.0, 2.0], [1.0, -1.0], [-0.5, 0.5])
+        domain = dn.prediction_domain(branches, 29, 1.0)
+        per_start, rounding = clearances(branches, SpectralGrid.build(29, domain))
+        assert all(min(low, high) >= 5.25 - rounding / sigma for low, high, sigma in per_start)
 
 
 class TestExtremes:

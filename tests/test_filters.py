@@ -215,6 +215,19 @@ class TestGaussianLikelihood:
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
             assert got == want
 
+    @pytest.mark.parametrize("obs_variance", [1.0, 1e-10])
+    def test_overflowing_innovation_is_zero_without_a_warning(self, obs_variance):
+        # -0.5 r r / var overflows to -inf, whose exp is 0; this once warned
+        # "overflow encountered in multiply", an error under pytest.ini
+        y_pred = np.array([1.9e154, -1e300, 1e154, 0.0])
+        got = flt.gaussian_likelihood(0.0, y_pred, obs_variance)
+        with np.errstate(over="ignore"):
+            want = self.expression(0.0, y_pred, obs_variance)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (got[:3] == 0.0).all() and got[3] > 0.0
+        for args in ((0.0, 1.9e154), (np.array(-1.9e154), np.float64(0.0))):
+            assert flt.gaussian_likelihood(*args, obs_variance) == 0.0
+
     def test_bad_variance(self):
         # an infinite variance once gave likelihood 0.0, reported by a pdef
         # step as a divergence and by a pf step as a weight underflow
@@ -333,49 +346,53 @@ class TestPdefStep:
         stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
         assert l1_distance(stepped.posterior, prior) <= 1e-12
 
-    def test_failed_margin_retries_are_named(self):
-        # a 16-node grid's bumps are too wide for any margin on this model
+    def test_too_coarse_grid_is_refused_before_any_bump(self, monkeypatch):
+        # no domain holds a 16-node grid's bumps 5.25 widths inside its margin
         model = benchmark_model()
         cfg = flt.PdefConfig(grid_nodes=16)
         noise = flt.gaussian_quantile_points(16, model.process_noise.variance)
         state = flt.pdef_init(model, cfg)
-        with pytest.raises(DomainEscapeError) as info:
-            flt.pdef_step(state, model, noise, 1, 0.5, cfg)
-        message = str(info.value)
-        assert "after 6 attempts" in message
-        assert f"final margin scale {1.6 ** 5:.4g}" in message
-        assert "grid_nodes=16" in message
-        assert isinstance(info.value.__cause__, DomainEscapeError)
+        bumps = []
+        original = dn.mollified_delta
 
-    def test_retried_step_equals_assembly_at_its_margin_scale(self, monkeypatch):
-        # at 48 nodes with 4 x 4 branches the first prediction from the
-        # initial Gaussian trips the boundary margin and passes on a retry
+        def counting(grid, center):
+            bumps.append(center)
+            return original(grid, center)
+
+        monkeypatch.setattr(dn, "mollified_delta", counting)
+        with pytest.raises(DomainEscapeError, match="grid_nodes=16;"):
+            flt.pdef_step(state, model, noise, 1, 0.5, cfg)
+        assert bumps == []
+
+    def test_one_assembly_on_the_prediction_domain(self, monkeypatch):
+        # at 48 nodes with 4 x 4 branches the fixed margin is too narrow for
+        # the first prediction from the initial Gaussian; the widened domain
+        # is assembled once
         model = benchmark_model()
         cfg = flt.PdefConfig(grid_nodes=48, state_quantiles=4)
         noise = flt.gaussian_quantile_points(4, model.process_noise.variance)
         state = flt.pdef_init(model, cfg)
-        outcomes = []
+        grids = []
         original = flt.assemble_prior
 
         def recording(branches, grid):
-            try:
-                prior = original(branches, grid)
-            except DomainEscapeError:
-                outcomes.append("escape")
-                raise
-            outcomes.append("prior")
-            return prior
+            grids.append(grid)
+            return original(branches, grid)
 
         monkeypatch.setattr(flt, "assemble_prior", recording)
         stepped = flt.pdef_step(state, model, noise, 1, 0.5, cfg)
         monkeypatch.undo()
-        attempts = len(outcomes)
-        assert attempts >= 2 and outcomes == ["escape"] * (attempts - 1) + ["prior"]
+        assert len(grids) == 1
 
         branches = dn.make_branches(state.posterior, noise, model, 1, 4)
-        scale = 1.6 ** (attempts - 1)
-        domain = dn.prediction_domain(branches, 47, model.process_noise.std, scale)
+        domain = dn.prediction_domain(branches, 47, model.process_noise.std)
+        ends = branches.start_state + branches.drift
+        lo = min(branches.start_state.min(), ends.min() + noise.min())
+        hi = max(branches.start_state.max(), ends.max() + noise.max())
+        fixed_margin = 4.0 * (model.process_noise.std + 1.5 * (hi - lo) / 47)
+        assert domain.width > (hi - lo) + 2.0 * fixed_margin
         grid = SpectralGrid.build(47, domain)
+        assert grids[0].domain == domain
         predicted = model.observation(grid.nodes, 1)
         lik = flt.gaussian_likelihood(0.5, predicted, model.obs_noise.variance)
         expected = flt.posterior_update(dn.assemble_prior(branches, grid), lik)
@@ -409,6 +426,20 @@ class TestParticleFilter:
         state = flt.PfState(np.zeros(10))
         with pytest.raises(WeightUnderflowError):
             flt.pf_step(state, model, 1, 1e9, np.random.default_rng(0))
+
+    def test_overflowing_innovation_underflows_every_weight(self):
+        # every innovation is beyond the range of its square: the likelihoods
+        # are 0, a weight underflow, where a RuntimeWarning once stopped the step
+        model = flt.ScalarStateModel(
+            transition=lambda x, k, v: x + v,
+            observation=lambda x, k: 1e155 * x,
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(3.0, 1.0),
+        )
+        state = flt.PfState(np.full(20, 3.0))
+        with pytest.raises(WeightUnderflowError):
+            flt.pf_step(state, model, 1, 0.0, np.random.default_rng(0))
 
     def test_same_seed_identical_trajectory(self):
         model = benchmark_model()

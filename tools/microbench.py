@@ -5,9 +5,12 @@
 At each of the three benchmark sizes (grid 100 with 16 x 16 branches on the
 growth model, grid 150 with 64 x 64 on the linear model, grid 48 with 4 x 4
 on the growth model) one pdef run of ``STEPS`` steps at seed ``SEED`` fixes
-the inputs: the posterior entering its last step and the branches and grid
-of that step's successful ``assemble_prior`` call.  On those inputs it times
+the inputs: the state entering its last step, that step's observation, and
+the branches and grid of that step's ``assemble_prior`` call.  On those
+inputs it times
 
+- ``pdef_step``, the whole last step, from the state to the posterior;
+- ``prediction_domain``, the step's grid interval from its branches;
 - ``assemble_prior``, the whole prior assembly of the step;
 - ``_transport``, the transport alone, on the array of the step's nodal
   bumps (one row per start, folded and unfolded inside ``_transport``);
@@ -73,11 +76,10 @@ def linear_model() -> flt.ScalarStateModel:
     )
 
 
-def step_inputs(model, grid_nodes: int, points: int):
-    """The posterior entering the last step of a seeded pdef run, and the
-    branches and grid of that step's successful ``assemble_prior`` call."""
-    cfg = flt.PdefConfig(grid_nodes=grid_nodes, state_quantiles=points)
-    noise = flt.gaussian_quantile_points(points, model.process_noise.variance)
+def step_inputs(model, cfg, noise):
+    """The state entering the last step of a seeded pdef run, that step's
+    observation, and the branches and grid of its ``assemble_prior``
+    call."""
     _, observations = simulate_truth(model, STEPS, run_seed_streams(SEED, 0)[0])
     calls = []
 
@@ -90,13 +92,13 @@ def step_inputs(model, grid_nodes: int, points: int):
     flt.assemble_prior = recording
     try:
         state = flt.pdef_init(model, cfg)
-        for k, y in enumerate(observations, 1):
-            posterior = state.posterior
+        for k, y in enumerate(observations.tolist(), 1):
+            last = state
             state = flt.pdef_step(state, model, noise, k, y, cfg)
     finally:
         flt.assemble_prior = original
     branches, grid = calls[-1]
-    return posterior, branches, grid
+    return last, y, branches, grid
 
 
 def best_us(call, repeat: int) -> float:
@@ -107,7 +109,11 @@ def best_us(call, repeat: int) -> float:
 
 
 def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
-    posterior, branches, grid = step_inputs(model, grid_nodes, points)
+    cfg = flt.PdefConfig(grid_nodes=grid_nodes, state_quantiles=points)
+    noise = flt.gaussian_quantile_points(points, model.process_noise.variance)
+    state, y_last, branches, grid = step_inputs(model, cfg, noise)
+    posterior = state.posterior
+    std = model.process_noise.std
     probs = (2.0 * np.arange(points) + 1.0) / (2.0 * points)
     scale = affine_scale(grid.domain)
     starts = branches.start_state.tolist()
@@ -127,6 +133,8 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
 
     # layer: (timed call, calls of the layer it makes)
     layers = {
+        "pdef_step": (lambda: flt.pdef_step(state, model, noise, STEPS, y_last, cfg), 1),
+        "prediction_domain": (lambda: dn.prediction_domain(branches, grid.order, std), 1),
         "assemble_prior": (lambda: dn.assemble_prior(branches, grid), 1),
         "_transport": (lambda: dn._transport(
             grid.order, bumps, scale * branches.drift, scale * branches.noise_value
