@@ -48,6 +48,7 @@ up to 400.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -62,9 +63,6 @@ from .errors import DomainEscapeError, FilterDivergenceError
 
 # unused here, but perfbench/tracer.py rebinds it on this module for traced runs
 from .chebyshev import barycentric_interp  # noqa: F401
-
-# nodal values below this fraction of the peak do not count as support
-_SUPPORT_RTOL = 1e-12
 
 # total mass at or below this threshold is treated as filter divergence
 _MASS_FLOOR = 1e-300
@@ -433,13 +431,12 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
     Raises
     ------
     DomainEscapeError
-        If no margin can hold the widest bump, ``1 - 2 k_max <= 0``: an
-        order of 28 or less (``grid_nodes`` 29 or less) whatever the model.
-        The message names ``grid_nodes``.
+        If no margin can hold the widest bump (:func:`_widest_clearance`):
+        an order of 28 or less (``grid_nodes`` 29 or less) whatever the
+        model. The message names ``grid_nodes``.
     """
-    ref, widest = _reference_widths(order)
-    k_max = 2.0 / order + _CLEARANCE * widest
-    if not 1.0 - 2.0 * k_max > 0.0:
+    k_max = _widest_clearance(order)
+    if k_max is None:
         raise DomainEscapeError(
             f"no domain keeps a bump of {_BUMP_WIDTH:g} node spacings "
             f"{_CLEARANCE:g} widths inside the boundary margin at "
@@ -460,6 +457,7 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
     excess = [max(lo - (e + noise_lo), (e + noise_hi) - hi) for e in ends.tolist()]
     starts = branches.start_state.tolist()
     middle = lo + hi
+    ref = _reference_widths(order)[0]
     for _ in range(_DOMAIN_ROUNDS):
         width = span + 2.0 * margin
         needed = margin
@@ -472,6 +470,39 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
         margin = needed
     margin = max(margin, (max(excess) + k_max * span) / (1.0 - 2.0 * k_max))
     return Interval(lo - margin, hi + margin)
+
+
+def checked_grid_nodes(value) -> int:
+    """*value* as a grid node count that :func:`prediction_domain` can
+    serve, a Python int: some margin holds the widest bump of the order
+    ``value - 1`` (:func:`_widest_clearance`).
+
+    Raises
+    ------
+    ValueError
+        Naming ``grid_nodes``, if *value* is not an integer of at least 1
+        (:func:`~pdefilter.chebyshev.checked_count`) or no margin holds the
+        widest bump of its order, which is every count of 29 or less.  The
+        message gives the fewest nodes that are served: the first count
+        from *value* up that is, since coarser orders have wider bumps.
+    """
+    count = checked_count("grid_nodes", value, 1)
+    fewest = next(n for n in itertools.count(max(count, 2)) if _widest_clearance(n - 1))
+    if fewest > count:
+        raise ValueError(
+            f"grid_nodes must be >= {fewest}, got {count}: no domain keeps the bumps "
+            "of a coarser grid inside its boundary margin"
+        )
+    return count
+
+
+def _widest_clearance(order: int) -> float | None:
+    """``k_max = 2 / order + 5.25 rho_max``: the margin bounds' distance from
+    the domain's ends plus the clearance of the order's widest bump, per
+    unit domain width (:func:`prediction_domain`); or None when no margin
+    holds that bump, ``1 - 2 k_max <= 0``."""
+    k_max = 2.0 / order + _CLEARANCE * _reference_widths(order)[1]
+    return k_max if 1.0 - 2.0 * k_max > 0.0 else None
 
 
 # typed, as diff_matrix is: an order-47 entry never answers order 47.0
@@ -497,62 +528,90 @@ def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:
     Each branch contributes its equal share of mass, ``1 / len(branches)``,
     as a mollified delta placed at its start state and advected exactly by
     its velocity over unit pseudo-time, so it lands on its end state.  The
-    branches of one start share its bump, so its occupied support range is
-    found once per start; the start's other ``mollified_delta`` calls, one
-    per branch, only keep the benchmark's traced per-branch count (README,
-    Numerical notes).  Each start is screened against the boundary margin
-    once, by its range shifted by its drift plus the lowest and the highest
-    noise point: rounding is monotone, so the screen passes exactly when
-    every branch of the start passes its own two comparisons.  Only the
-    branches of a start that fails the screen are checked one by one, in
-    order; a branch that fails its comparisons has its escaped mass
-    measured against the start's mass, which is summed once per failing
-    start, and the first whose mass escapes raises.  The transport
-    factors over the product: each start's bump is taken to
-    eigen-coordinates once and rotated by its drift, the starts are
-    averaged, the average is multiplied by the noise factor and transformed
-    back once.  Negative spectral ringing is clipped once, on the summed
-    prior, not per branch: ringing of neighbouring bumps partly cancels,
-    and the sum is what the update step sees.
+    branches of one start share its bump: ``mollified_delta`` is called
+    once per branch, in order, but only a start's first call builds, and
+    the other calls only keep the benchmark's traced per-branch count
+    (README, Numerical notes).  Before any transport the start bumps pass
+    :func:`_check_escape`, which raises when more than 1e-6 of a branch's
+    mass would cross the boundary margin.  The transport factors over the
+    product: each start's bump is taken to eigen-coordinates once and
+    rotated by its drift, the starts are averaged, the average is
+    multiplied by the noise factor and transformed back once.  Negative
+    spectral ringing is clipped once, on the summed prior, not per branch:
+    ringing of neighbouring bumps partly cancels, and the sum is what the
+    update step sees.
     """
-    lo_bound, hi_bound = _margin_bounds(grid_next)
-    noise = branches.noise_value.tolist()
-    noise_lo, noise_hi = _extremes(branches.noise_value)
-    repeats = range(len(noise) - 1)
+    repeats = range(branches.noise_value.size)
     bumps = []  # nodal values of each start's bump
-    for s, (start, drift) in enumerate(
-        zip(branches.start_state.tolist(), branches.drift.tolist())
-    ):
+    for start in branches.start_state.tolist():
         # one mollified_delta call per branch, in order: the traced bump
         # count of the benchmark pins it (ROADMAP item 1); a start's first
         # call builds its bump, the rest hit the cache
-        values = mollified_delta(grid_next, start).values
-        bumps.append(values)
-        lo, hi = _support_range(grid_next, values)
-        # the start's screen: its lowest and highest velocity
-        if lo + (drift + noise_lo) >= lo_bound and hi + (drift + noise_hi) <= hi_bound:
-            for _ in repeats:
-                mollified_delta(grid_next, start)
-            continue
-        # each branch of a failing start is checked right after its call, so
-        # an escape stops the calls at the offending branch; at least one
-        # of them fails its comparisons and has the start's mass measured
-        total = float(grid_next.physical_weights @ values)
-        for p, v in enumerate(noise):
-            if p:
-                mollified_delta(grid_next, start)
-            velocity = drift + v
-            if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
-                label = f"branch {s * len(noise) + p}"
-                _check_escaped_mass(
-                    grid_next, values, total, velocity, (lo, hi), (lo_bound, hi_bound), label
-                )
-
+        for _ in repeats:
+            bump = mollified_delta(grid_next, start)
+        bumps.append(bump.values)
+    bumps = np.array(bumps)
+    _check_escape(grid_next, bumps, branches)
     scale = affine_scale(grid_next.domain)
     moved = _transport(
-        grid_next.order, np.array(bumps), scale * branches.drift, scale * branches.noise_value
+        grid_next.order, bumps, scale * branches.drift, scale * branches.noise_value
     )
     return normalize(GridDensity(grid_next, np.maximum(moved, 0.0)))
+
+
+def _check_escape(grid, bumps: np.ndarray, branches: Branches) -> None:
+    """Raise unless every branch keeps all but at most 1e-6 of its bump's
+    mass inside the margin bounds after its shift: the domain less two
+    nominal node spacings at each end.
+
+    *bumps* holds each start's bump, one row of nodal values per start, and
+    a branch's shift is its velocity.  All starts are screened at once by
+    :func:`_escaped_mass` at their lowest shift, drift plus the lowest noise
+    point, below the low bound and at their highest shift above the high
+    bound.  A start that passes has no escaping branch: rounding is
+    monotone, so the nodes a branch moves past a bound are among those its
+    start's extreme shift moves past it, and a row sum of nonnegative terms
+    in a fixed order does not fall when terms grow from 0 to their mass.
+    Only the branches of a failing start are measured, each at its own
+    shift and by the same row sum, and the first of them, start-major,
+    that carries more than 1e-6 of the bump's mass across raises.
+
+    Raises
+    ------
+    DomainEscapeError
+        Naming the branch, ``s * P + p``, and its escaped share of the mass.
+    """
+    mass = bumps * grid.physical_weights
+    total = mass.sum(axis=1)
+    limit = 1e-6 * total
+    drift = branches.drift[:, None]
+    noise = branches.noise_value
+    noise_lo, noise_hi = _extremes(noise)
+    screen = _escaped_mass(grid, mass, drift + noise_lo, drift + noise_hi)
+    for s in (screen > limit).nonzero()[0].tolist():
+        shifts = (drift[s] + noise)[:, None]
+        escaped = _escaped_mass(grid, mass[s], shifts, shifts)
+        over = (escaped > limit[s]).nonzero()[0]
+        if over.size:
+            p = over.item(0)
+            raise DomainEscapeError(
+                f"{escaped.item(p) / total.item(s):.3e} of the advected mass for branch "
+                f"{s * noise.size + p} crosses the boundary margin of [{grid.domain.lo:.4g}, "
+                f"{grid.domain.hi:.4g}]; widen the domain selection"
+            )
+
+
+def _escaped_mass(grid, mass: np.ndarray, lo_shift, hi_shift) -> np.ndarray:
+    """Per row of *mass*, nodal masses (values times quadrature weights),
+    the mass on the nodes that *lo_shift* moves below the low margin bound
+    or *hi_shift* moves above the high one, summed over the whole row in
+    node order with zeros elsewhere.  The margin bounds are the domain less
+    two nominal node spacings at each end.  The shifts are columns, one row
+    each; a 1-D *mass* serves every row."""
+    margin = 2.0 * grid.domain.width / grid.order
+    lo_bound, hi_bound = grid.domain.lo + margin, grid.domain.hi - margin
+    outside = (grid.nodes + lo_shift < lo_bound) | (grid.nodes + hi_shift > hi_bound)
+    return np.where(outside, mass, 0.0).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -670,41 +729,3 @@ def _rotation(half_angle: np.ndarray) -> np.ndarray:
     np.subtract(d, 1.0, out=rotation.real)
     np.multiply(u, d, out=rotation.imag)
     return rotation
-
-
-def _margin_bounds(grid):
-    """The interval that shifted support must stay inside: the domain less
-    two nominal node spacings at each end."""
-    margin = 2.0 * grid.domain.width / grid.order
-    return grid.domain.lo + margin, grid.domain.hi - margin
-
-
-def _support_range(grid, values):
-    """Lowest and highest node whose value exceeds the support threshold,
-    or ``(inf, -inf)`` when there is no mass, which no shift moves out."""
-    peak = values.item(values.argmax())
-    if peak <= 0.0:
-        return math.inf, -math.inf
-    # the nodes ascend, so the first and last occupied ones are the range
-    occupied = (values > _SUPPORT_RTOL * peak).nonzero()[0]
-    nodes = grid.node_list
-    return nodes[occupied[0]], nodes[occupied[-1]]
-
-
-def _check_escaped_mass(grid, values, total, shift, support, bounds, label):
-    """Raise unless at most 1e-6 of *total*, the mass of *values*, shifted
-    by *shift* lands outside *bounds*, the margin bounds; *support* is the
-    unshifted range and *label* names the branch in the message."""
-    # the 1e-12-of-peak support reaches far into tails that hold no
-    # measurable mass; only raise when actual mass crosses
-    lo_bound, hi_bound = bounds
-    shifted = grid.nodes + shift
-    outside = (shifted < lo_bound) | (shifted > hi_bound)
-    escaped = float(grid.physical_weights[outside] @ values[outside])
-    if escaped > 1e-6 * total:
-        lo, hi = support[0] + shift, support[1] + shift
-        raise DomainEscapeError(
-            f"advected support [{lo:.4g}, {hi:.4g}] for {label} crosses the "
-            f"boundary margin of [{grid.domain.lo:.4g}, {grid.domain.hi:.4g}]"
-            "; widen the domain selection"
-        )

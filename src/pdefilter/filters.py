@@ -24,7 +24,9 @@ import numpy as np
 
 from . import density as density_mod
 from .chebyshev import Interval, SpectralGrid, checked_count
-from .density import GridDensity, assemble_prior, make_branches, model_output, prediction_domain
+from .density import (
+    GridDensity, assemble_prior, checked_grid_nodes, make_branches, model_output, prediction_domain,
+)
 from .errors import FilterDivergenceError, WeightUnderflowError
 
 
@@ -120,18 +122,20 @@ class PdefConfig:
     order is one less) and ``state_quantiles`` the number of
     equal-probability posterior points entering each prediction.  The
     mollification width is fixed at 1.5 node spacings
-    (:func:`~pdefilter.density.mollified_delta`).  ``grid_nodes`` of 4 is
-    accepted, but :func:`~pdefilter.density.prediction_domain` refuses every
-    step at 29 nodes or fewer, and on the growth model with 16 x 16 branches
-    every run from 30 to 36 nodes loses its posterior mass; 40 is the
-    smallest grid measured to complete (README, Command line).
+    (:func:`~pdefilter.density.mollified_delta`).  ``grid_nodes`` of 29 or
+    fewer is refused with ``ValueError``: no domain keeps the bumps of such
+    a grid inside its boundary margin
+    (:func:`~pdefilter.density.checked_grid_nodes`).  On the growth model
+    with 16 x 16 branches every run from 30 to 36 nodes loses its posterior
+    mass; 40 is the smallest grid measured to complete (README, Command
+    line).
     """
 
     grid_nodes: int = 100
     state_quantiles: int = 16
 
     def __post_init__(self):
-        _set_count(self, "grid_nodes", 4)
+        object.__setattr__(self, "grid_nodes", checked_grid_nodes(self.grid_nodes))
         _set_count(self, "state_quantiles", 1)
 
 
@@ -279,10 +283,8 @@ def pdef_step(
         If ``y_k`` is not a real number or is NaN or infinite, before any
         model call; if *noise* is empty, not 1-D or not finite.
     DomainEscapeError
-        If ``grid_nodes`` is 29 or less, which no domain can serve (the
-        message names ``grid_nodes``), before any bump is built; or if more
-        than 1e-6 of a branch's mass still crosses the boundary margin (the
-        message names the branch).
+        If more than 1e-6 of a branch's mass still crosses the boundary
+        margin (the message names the branch).
     FilterDivergenceError
         If the posterior mass collapses below threshold or the model returns
         a non-finite value.

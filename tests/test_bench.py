@@ -251,7 +251,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [({"grid_nodes": 3}, "grid_nodes must be >= 4, got 3"),
+        [({"grid_nodes": 3}, "grid_nodes must be >= 30, got 3"),
          ({"state_quantiles": 0}, "state_quantiles must be >= 1, got 0"),
          ({"grid_nodes": 50.5}, "grid_nodes must be an integer, got 50.5"),
          ({"state_quantiles": 4.5}, "state_quantiles must be an integer, got 4.5")],

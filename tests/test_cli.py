@@ -126,12 +126,23 @@ class TestExitCodes:
         assert cli.main(["run", "--runs", "0", "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", [1, 3])
-    def test_grid_below_four_nodes_is_usage_error(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("grid", [1, 3, 29])
+    def test_grid_below_30_nodes_is_usage_error(self, tmp_path, capsys, monkeypatch, grid):
+        # no domain serves such a grid; refused before any run starts
+        def run_experiment(*args, **kwargs):
+            raise AssertionError("a run started on a refused grid")
+
+        monkeypatch.setattr(cli.bench, "run_experiment", run_experiment)
         out = tmp_path / "x.csv"
         assert cli.main(run_args(out, grid=grid)) == 1
-        assert "pdefilter: error: grid_nodes must be >= 4" in capsys.readouterr().err
+        assert f"pdefilter: error: grid_nodes must be >= 30, got {grid}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_of_30_nodes_is_accepted(self, tmp_path):
+        # the coarsest grid a domain serves; the other filters complete
+        out = tmp_path / "x.csv"
+        assert cli.main(run_args(out, grid=30)) == 0
+        assert "grid=30" in out.read_text().splitlines()[0]
 
     @pytest.mark.parametrize("command", ["run", "trajectory"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from _oracles import complex_transport, gaussian_pdf, gaussian_sum_prior
 
 
 def wide_grid(order=64, half_width=13.0):
-    # wide enough that a unit Gaussian's 1e-12-level tails stay clear of the
-    # boundary margin even after a shift of several units
+    # wide enough that a bump, about one unit wide, keeps far less than 1e-6
+    # of its mass past the boundary margin even after a shift of several units
     return SpectralGrid.build(order, Interval(-half_width, half_width))
 
 
@@ -61,24 +62,46 @@ def expm_prior(branches, grid):
     return dn.normalize(dn.GridDensity(grid, values))
 
 
+def margin_bounds(grid):
+    """The domain less two nominal node spacings at each end: a branch's
+    mass shifted past these bounds has escaped."""
+    margin = 2.0 * grid.domain.width / grid.order
+    return grid.domain.lo + margin, grid.domain.hi - margin
+
+
+def escaped_mass(grid, bump, shift):
+    """The per-branch reference: the mass of *bump* (nodal values) on the
+    nodes that *shift* moves past the margin bounds, and the bump's whole
+    mass, each a quadrature summed over the nodes in order."""
+    lo_bound, hi_bound = margin_bounds(grid)
+    mass = bump * grid.physical_weights
+    shifted = grid.nodes + shift
+    return np.where((shifted < lo_bound) | (shifted > hi_bound), mass, 0.0).sum(), mass.sum()
+
+
+def check_each_branch(branches, grid, bumps):
+    """Raise the escape of the first branch, in order, that carries more
+    than 1e-6 of its bump's mass past the margin bounds; *bumps* holds one
+    row per branch."""
+    _, velocity, _ = expanded(branches)
+    for i, (bump, v) in enumerate(zip(bumps, velocity)):
+        escaped, total = escaped_mass(grid, bump, v)
+        if escaped > 1e-6 * total:
+            raise DomainEscapeError(
+                f"{escaped / total:.3e} of the advected mass for branch {i} crosses the "
+                f"boundary margin of [{grid.domain.lo:.4g}, {grid.domain.hi:.4g}]; "
+                "widen the domain selection"
+            )
+
+
 def per_branch_prior(branches, grid):
-    """Reference prior without the product: per branch one bump, one support
-    check and one row, all S x P rows transported by their own velocity in
+    """Reference prior without the product: per branch one bump and one
+    escape check, then all S x P rows transported by their own velocity in
     a single batch, each of mass ``1 / (S P)``, with a unit noise factor."""
     starts, velocity, _ = expanded(branches)
-    lo_bound, hi_bound = dn._margin_bounds(grid)
-    bumps = []
-    for i, (start, v) in enumerate(zip(starts, velocity)):
-        bump = dn.mollified_delta(grid, start).values
-        lo, hi = dn._support_range(grid, bump)
-        if not (lo + v >= lo_bound and hi + v <= hi_bound):
-            total = float(grid.physical_weights @ bump)
-            bounds = (lo_bound, hi_bound)
-            dn._check_escaped_mass(grid, bump, total, v, (lo, hi), bounds, f"branch {i}")
-        bumps.append(bump)
-    values = dn._transport(
-        grid.order, np.array(bumps), dn.affine_scale(grid.domain) * velocity, [0.0]
-    )
+    bumps = np.array([dn.mollified_delta(grid, start).values for start in starts])
+    check_each_branch(branches, grid, bumps)
+    values = dn._transport(grid.order, bumps, dn.affine_scale(grid.domain) * velocity, [0.0])
     return dn.normalize(dn.GridDensity(grid, np.clip(values, 0.0, None)))
 
 
@@ -159,26 +182,15 @@ def random_products(draw):
 
 
 def screenless_prior(branches, grid):
-    """Prior assembly without the per-start screen: every branch compared
-    against the margin on its own, in order, with one ``mollified_delta``
-    call per branch; the transport is :func:`density.assemble_prior`'s."""
-    lo_bound, hi_bound = dn._margin_bounds(grid)
-    noise = branches.noise_value.tolist()
+    """Prior assembly without the start screen: one ``mollified_delta``
+    call per branch, in order, then every branch checked on its own, in
+    order; the transport is :func:`density.assemble_prior`'s."""
+    p = branches.noise_value.size
     bumps = []
-    for s, (start, drift) in enumerate(
-        zip(branches.start_state.tolist(), branches.drift.tolist())
-    ):
-        for p, v in enumerate(noise):
-            bump = dn.mollified_delta(grid, start)
-            if p == 0:
-                bumps.append(bump.values)
-                lo, hi = dn._support_range(grid, bump.values)
-            velocity = drift + v
-            if not (lo + velocity >= lo_bound and hi + velocity <= hi_bound):
-                label = f"branch {s * len(noise) + p}"
-                total = float(grid.physical_weights @ bump.values)
-                bounds = (lo_bound, hi_bound)
-                dn._check_escaped_mass(grid, bump.values, total, velocity, (lo, hi), bounds, label)
+    for start in branches.start_state.tolist():
+        calls = [dn.mollified_delta(grid, start) for _ in range(p)]
+        bumps.append(calls[0].values)
+    check_each_branch(branches, grid, np.repeat(bumps, p, axis=0))
     scale = dn.affine_scale(grid.domain)
     values = dn._transport(
         grid.order, np.array(bumps), scale * branches.drift, scale * branches.noise_value
@@ -201,24 +213,105 @@ def assembly_outcome(assemble, branches, grid):
 
 @st.composite
 def margin_straddling_products(draw):
-    """Product branches on :func:`wide_grid` whose starts each put the
-    support range of their extreme branch within a few bump widths of the
-    margin, on either side of it: drifts are solved so that the range
-    shifted by the highest (or lowest) velocity overshoots the bound by a
-    drawn amount, exactly zero and single roundings included."""
+    """Product branches on :func:`wide_grid` whose starts each carry about
+    1e-6 of their bump's mass past the margin at their extreme branch, on
+    either side of the limit.  Per start, the k outermost nodes on a drawn
+    side are moved past the bound, k drawn around the count at which the
+    reference share (summed outward, a close estimate) first exceeds 1e-6;
+    the shift sits either between two nodes or exactly where a node meets
+    the bound, single roundings either way included, and the drift is
+    solved from it and the extreme noise point."""
     grid = wide_grid()
-    lo_bound, hi_bound = dn._margin_bounds(grid)
+    lo_bound, hi_bound = margin_bounds(grid)
+    nodes = grid.nodes.tolist()
+    order = grid.order
     starts = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
     noise = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5))
     drifts = []
     for start in starts:
-        lo, hi = dn._support_range(grid, fresh_bump(grid, start).values)
-        overshoot = draw(st.sampled_from([0.0, 4e-16, -4e-16]) | st.floats(-1.0, 4.0))
-        if draw(st.booleans()):
-            drifts.append(hi_bound + overshoot - hi - max(noise))
+        mass = fresh_bump(grid, start).values * grid.physical_weights
+        high = draw(st.booleans())
+        # shares[k - 1]: the share on the k outermost nodes of the side
+        shares = np.cumsum(mass[::-1] if high else mass) / mass.sum()
+        first_over = int(np.searchsorted(shares, 1e-6, side="right")) + 1
+        k = min(max(first_over + draw(st.integers(-2, 1)), 1), order)
+        # the innermost node moved out, and the next one in, which stays
+        if high:
+            inner, stays = nodes[order + 1 - k], nodes[order - k]
         else:
-            drifts.append(lo_bound - overshoot - lo - min(noise))
+            inner, stays = nodes[k - 1], nodes[k]
+        if draw(st.booleans()):
+            offset = 0.5 * (inner - stays)
+        else:
+            offset = draw(st.sampled_from([0.0, 4e-16, -4e-16]))
+        if high:
+            drifts.append(hi_bound - inner + offset - max(noise))
+        else:
+            drifts.append(lo_bound - inner + offset - min(noise))
     return product_of(starts, drifts, noise), grid
+
+
+@lru_cache(maxsize=None)
+def limit_products():
+    """Branches of one start on ``wide_grid(137)`` whose branch 1 carries,
+    by the per-branch reference, exactly 1e-6 of its bump's mass past the
+    high margin bound (rounding 0), one rounding less (-1) or one rounding
+    more (1), keyed by ``(rounding, measured)``.
+
+    The drift moves a run of outermost nodes past the high bound, and the
+    start is bisected to where the reference share crosses 1e-6 and
+    then stepped by single roundings of itself, which move the share by a
+    small fraction of one of its own roundings, until the three cases are
+    found.  Branch 0 shifts by 0.5 less (``measured`` false: the screen
+    decides at the limit) or by enough to carry just over 1e-9 of the mass
+    past the low bound (true: the start fails the screen, and branch 1 is
+    measured on its own at the limit)."""
+    grid = wide_grid(137)
+    lo_bound, hi_bound = margin_bounds(grid)
+    nodes = grid.nodes.tolist()
+
+    def excess(start, shift):
+        escaped, total = escaped_mass(grid, fresh_bump(grid, start).values, shift)
+        return escaped - 1e-6 * total
+
+    for j in range(grid.order // 2 + 1, grid.order + 1):
+        shift = hi_bound - 0.5 * (nodes[j - 1] + nodes[j])
+        a, b = -0.12, 0.12
+        rising = excess(a, shift) < 0.0
+        if rising == (excess(b, shift) < 0.0):
+            continue
+        for _ in range(64):
+            middle = 0.5 * (a + b)
+            if (excess(middle, shift) < 0.0) == rising:
+                a = middle
+            else:
+                b = middle
+        found = {}
+        for k in range(-400, 400):
+            start = a + k * np.spacing(a)
+            escaped, total = escaped_mass(grid, fresh_bump(grid, start).values, shift)
+            limit = 1e-6 * total
+            for rounding in (-1, 0, 1):
+                if escaped == (np.nextafter(limit, rounding * np.inf) if rounding else limit):
+                    found.setdefault(rounding, start)
+        if len(found) < 3:
+            continue
+        # the low shift that moves the fewest lowest nodes past the low bound
+        # for more than 1e-9 of the mass
+        bump = fresh_bump(grid, a).values
+        low = next(
+            v for v in (lo_bound - 0.5 * (nodes[k - 1] + nodes[k]) for k in range(1, grid.order))
+            if np.divide(*escaped_mass(grid, bump, v)) > 1e-9
+        )
+        return {
+            (rounding, measured): (
+                product_of([start], [shift], [low - shift if measured else -0.5, 0.0]),
+                grid,
+            )
+            for rounding, start in found.items()
+            for measured in (False, True)
+        }
+    raise AssertionError("no start found at the 1e-6 escape limit")
 
 
 def prediction_step(case):
@@ -849,7 +942,7 @@ def clearances(branches, grid):
     and its bump's center after its lowest and its highest shift, with the
     width the bump gets on *grid*, and that width; and the rounding of the
     distances."""
-    lo_bound, hi_bound = dn._margin_bounds(grid)
+    lo_bound, hi_bound = margin_bounds(grid)
     noise_lo, noise_hi = branches.noise_value.min(), branches.noise_value.max()
     out = []
     for start, drift in zip(branches.start_state.tolist(), branches.drift.tolist()):
@@ -1045,15 +1138,15 @@ class TestAssemblePrior:
             dn.assemble_prior(branches, grid)
 
     def test_escape_inside_a_start_group_stops_at_its_branch(self, monkeypatch):
-        # the noise points of one start are its group of branches; one bump
-        # per branch, in order, up to the first escape: the benchmark's
-        # traced bump count relies on it
+        # the noise points of one start are its group of branches; every
+        # branch makes its mollified_delta call, in order, before the escape
+        # check names the first offending branch of the group
         bumps = counting(monkeypatch, "mollified_delta")
         grid = wide_grid()
         branches = product_of([0.5], [0.0], [0.5, 10.5, -11.5, -0.5])
         with pytest.raises(DomainEscapeError, match="branch 1 "):
             dn.assemble_prior(branches, grid)
-        assert len(bumps) == 2
+        assert len(bumps) == 4
 
     def test_escape_label_is_start_major(self, monkeypatch):
         # branch s * P + p: only start 1 with noise point 1 escapes
@@ -1069,21 +1162,23 @@ class TestAssemblePrior:
         dn.assemble_prior(branches, wide_grid())
         assert [args[1] for args in bumps] == [0.5, 0.5, -1.0, -1.0]
 
-    def test_support_over_the_margin_with_negligible_mass_passes(self, monkeypatch):
-        # the 1e-12-of-peak support edge crosses the margin by a quarter
-        # of a bump width, but the mass beyond it is far below 1e-6
+    def test_support_over_the_margin_with_negligible_mass_passes(self):
+        # a bump's far tail crosses the margin; at most 1e-6 of its mass
+        # outside passes, and one node further out raises with its share
         grid = wide_grid()
         bump = dn.mollified_delta(grid, 0.0).values
-        sigma = dn.mollification_sigma(grid, 0.0)
-        hi_bound = dn._margin_bounds(grid)[1]
-        shift = hi_bound - dn._support_range(grid, bump)[1] + 0.25 * sigma
-        outside = grid.nodes + shift > hi_bound
-        escaped = grid.physical_weights[outside] @ bump[outside]
-        assert 0.0 < escaped <= 1e-6 * (grid.physical_weights @ bump)
-        checks = counting(monkeypatch, "_check_escaped_mass")
-        prior = dn.assemble_prior(branches_of((0.0, 0.0), (0.0, shift)), grid)
-        assert [args[-1] for args in checks] == ["branch 1"]
+        hi_bound = margin_bounds(grid)[1]
+        nodes = grid.nodes.tolist()
+        # shifts moving the k outermost nodes past the high bound, k = 1, 2, ...
+        shifts = [hi_bound - 0.5 * (nodes[-k] + nodes[-k - 1]) for k in range(1, grid.order)]
+        shares = [np.divide(*escaped_mass(grid, bump, shift)) for shift in shifts]
+        over = next(i for i, share in enumerate(shares) if share > 1e-6)
+        assert 0.0 < shares[over - 1] <= 1e-6
+        prior = dn.assemble_prior(branches_of((0.0, 0.0), (0.0, shifts[over - 1])), grid)
         assert dn.integrate(prior) == pytest.approx(1.0, abs=1e-12)
+        message = f"^{shares[over]:.3e} of the advected mass for branch 1 crosses"
+        with pytest.raises(DomainEscapeError, match=message):
+            dn.assemble_prior(branches_of((0.0, 0.0), (0.0, shifts[over])), grid)
 
     @pytest.mark.parametrize("case", ["linear-64x64", "growth-16x16"])
     def test_equals_per_branch_reference(self, case):
@@ -1104,8 +1199,11 @@ class TestAssemblePrior:
     ):
         # every prior of a 50-step pdef run is within 5e-5 of its peak of the
         # exact transport of the same bumps (measured: at most 1.3e-5,
-        # 2.9e-8 and 2.0e-5 over seven such runs of each)
+        # 2.9e-8 and 2.0e-5 over seven such runs of each), and every start of
+        # every step passes the escape screen, so no branch has its escaped
+        # mass measured on its own
         priors = []
+        measured = counting(monkeypatch, "_escaped_mass")
 
         def recording_assemble_prior(branches, grid):
             prior = dn.assemble_prior(branches, grid)
@@ -1120,6 +1218,7 @@ class TestAssemblePrior:
         for k, y in enumerate(observations, 1):
             state = flt.pdef_step(state, model, noise, k, y, cfg)
         assert len(priors) >= 50
+        assert len(measured) == len(priors)
         for branches, grid, prior in priors:
             starts, velocity, mass = expanded(branches)
             sigma = [argmin_sigma(grid, start) for start in branches.start_state]
@@ -1162,19 +1261,57 @@ class TestAssemblePrior:
     @given(case=margin_straddling_products())
     @example(case=(product_of([0.5, -1.0], [0.0, 0.0], [0.5, 10.5]), wide_grid()))
     @example(case=(product_of([0.0, 0.0], [0.0, 0.0], [0.0, 0.9]), wide_grid()))
+    @example(case=(product_of([0.195], [0.0], [-7.51, 7.51]), wide_grid()))
+    @example(case=limit_products()[-1, False])
+    @example(case=limit_products()[0, False])
+    @example(case=limit_products()[1, False])
+    @example(case=limit_products()[-1, True])
+    @example(case=limit_products()[0, True])
+    @example(case=limit_products()[1, True])
     def test_start_screen_equals_per_branch_checks(self, case):
-        # the same result bits or the same first escape, after the same
-        # mollified_delta calls in the same order, as checking every branch
-        # on its own
+        # the same prior bits, or the same first escape, as measuring every
+        # branch on its own; with a prior, after the same mollified_delta
+        # calls in the same order
         branches, grid = case
-        assert assembly_outcome(dn.assemble_prior, branches, grid) == assembly_outcome(
-            screenless_prior, branches, grid
-        )
+        result, calls = assembly_outcome(dn.assemble_prior, branches, grid)
+        expected, expected_calls = assembly_outcome(screenless_prior, branches, grid)
+        assert result == expected
+        if isinstance(result, bytes):
+            assert calls == expected_calls
+
+    def test_a_start_failing_the_screen_is_measured_per_branch(self, monkeypatch):
+        # the screen adds the low tail of the lowest branch (1.2e-7 of the
+        # mass) to the high tail of the highest (9.7e-7); each branch alone
+        # keeps under 1e-6 outside, so the start is measured and passes
+        measured = counting(monkeypatch, "_escaped_mass")
+        branches, grid = product_of([0.195], [0.0], [-7.51, 7.51]), wide_grid()
+        bump = fresh_bump(grid, 0.195).values
+        shares = [np.divide(*escaped_mass(grid, bump, v)) for v in (-7.51, 7.51)]
+        assert max(shares) <= 1e-6 < sum(shares)
+        prior = dn.assemble_prior(branches, grid)
+        assert [args[1].ndim for args in measured] == [2, 1]
+        assert prior.values.tobytes() == screenless_prior(branches, grid).values.tobytes()
+
+    @pytest.mark.parametrize("measured", [False, True], ids=["screened", "measured"])
+    @pytest.mark.parametrize("rounding", [-1, 0, 1])
+    def test_limit_is_exactly_one_millionth_of_the_mass(self, monkeypatch, rounding, measured):
+        # an escaped share of exactly 1e-6, or one rounding less, passes;
+        # one rounding more raises, whether the screen decides or the start
+        # falls through to its branches
+        branches, grid = limit_products()[rounding, measured]
+        calls = counting(monkeypatch, "_escaped_mass")
+        if rounding > 0:
+            message = "^1.000e-06 of the advected mass for branch 1 "
+            with pytest.raises(DomainEscapeError, match=message):
+                dn.assemble_prior(branches, grid)
+        else:
+            assert dn.integrate(dn.assemble_prior(branches, grid)) == pytest.approx(1.0)
+        assert len(calls) == (2 if measured else 1 + (rounding > 0))
 
     @pytest.mark.parametrize("case", ["linear-64x64", "growth-16x16"])
     def test_benchmark_sized_step_equals_screenless_calls_and_bytes(self, case):
-        # every start clears its screen here, so all its calls after the
-        # first come from the bare repeat loop
+        # every start clears the escape screen here, after one call per
+        # branch, in order
         branches, grid = prediction_step(case)
         prior, calls = assembly_outcome(dn.assemble_prior, branches, grid)
         assert isinstance(prior, bytes), prior

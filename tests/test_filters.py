@@ -346,23 +346,26 @@ class TestPdefStep:
         stepped = flt.pdef_step(state, model, noise, 1, -4.0, cfg)
         assert l1_distance(stepped.posterior, prior) <= 1e-12
 
-    def test_too_coarse_grid_is_refused_before_any_bump(self, monkeypatch):
-        # no domain holds a 16-node grid's bumps 5.25 widths inside its margin
-        model = benchmark_model()
-        cfg = flt.PdefConfig(grid_nodes=16)
-        noise = flt.gaussian_quantile_points(16, model.process_noise.variance)
-        state = flt.pdef_init(model, cfg)
-        bumps = []
-        original = dn.mollified_delta
+    def test_too_coarse_grid_is_refused_before_any_bump(self):
+        # no domain holds a 16-node grid's bumps 5.25 widths inside its
+        # margin, so its configuration is refused before any filter step
+        with pytest.raises(ValueError, match="^grid_nodes must be >= 30, got 16: no domain keeps"):
+            flt.PdefConfig(grid_nodes=16)
 
-        def counting(grid, center):
-            bumps.append(center)
-            return original(grid, center)
-
-        monkeypatch.setattr(dn, "mollified_delta", counting)
-        with pytest.raises(DomainEscapeError, match="grid_nodes=16;"):
-            flt.pdef_step(state, model, noise, 1, 0.5, cfg)
-        assert bumps == []
+    def test_config_accepts_the_grids_the_domain_rule_serves(self):
+        # PdefConfig and prediction_domain refuse the same grids: 29 nodes
+        # or fewer
+        branches = dn.Branches([0.0], [1.0], [0.0])
+        for grid_nodes in range(2, 61):
+            try:
+                dn.prediction_domain(branches, grid_nodes - 1, 1.0)
+            except DomainEscapeError:
+                assert grid_nodes <= 29
+                message = f"^grid_nodes must be >= 30, got {grid_nodes}:"
+                with pytest.raises(ValueError, match=message):
+                    flt.PdefConfig(grid_nodes=grid_nodes)
+            else:
+                assert flt.PdefConfig(grid_nodes=grid_nodes).grid_nodes == grid_nodes >= 30
 
     def test_one_assembly_on_the_prediction_domain(self, monkeypatch):
         # at 48 nodes with 4 x 4 branches the fixed margin is too narrow for

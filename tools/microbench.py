@@ -14,6 +14,7 @@ inputs it times
 - ``assemble_prior``, the whole prior assembly of the step;
 - ``_transport``, the transport alone, on the array of the step's nodal
   bumps (one row per start, folded and unfolded inside ``_transport``);
+- ``_check_escape``, the escape guard alone, on the same array;
 - ``density_quantiles``, the start states of the step;
 - one bump build, ``mollified_delta`` on a center it did not see last;
 - one cache hit, ``mollified_delta`` on the center it saw last, timed
@@ -30,8 +31,9 @@ microseconds.  Each round runs as many calls as fill about 0.2 s.  The
 script imports the package only, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` times that checkout on the same inputs, if its
 ``_transport`` has this one's signature: ``(order, bumps, shifts,
-noise_shifts)`` on nodal rows, with every branch equally weighted, and
-its ``pf_step`` this one's: ``(state, model, k, y_k, rng)``.
+noise_shifts)`` on nodal rows, with every branch equally weighted, its
+``_check_escape`` this one's: ``(grid, bumps, branches)``, and its
+``pf_step`` this one's: ``(state, model, k, y_k, rng)``.
 """
 
 from __future__ import annotations
@@ -139,6 +141,7 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
         "_transport": (lambda: dn._transport(
             grid.order, bumps, scale * branches.drift, scale * branches.noise_value
         ), 1),
+        "_check_escape": (lambda: dn._check_escape(grid, bumps, branches), 1),
         "density_quantiles": (lambda: dn.density_quantiles(posterior, probs), 1),
         "bump build": (builds, 2),
         "cache hit": (hits, len(HITS)),
