@@ -305,30 +305,42 @@ def model_output(name: str, value, shape: tuple, k: int):
     """A model function's output, checked: a float for ``shape == ()``,
     otherwise a float array of *shape*.
 
-    An output that is exactly a float64 ``np.ndarray`` of *shape* is
-    returned as it is, not copied; no filter writes to it, so a model may
-    return a read-only array or one it keeps.  Any other output (another
-    dtype, a list, a scalar, a size-1 array, an ndarray subclass) is
-    converted to float and broadcast to *shape*, so a model that ignores
-    its input may return a scalar.  Finiteness is read from the two
-    extremes (:func:`_extremes`), which are a NaN if there is one.
+    A scalar call (``shape == ()``) takes a real number or a 0-d array and
+    returns it as a Python float.  For an array call, an output that is
+    exactly a float64 ``np.ndarray`` of *shape* is returned as it is, not
+    copied; no filter writes to it, so a model may return a read-only array
+    or one it keeps.  Any other output (another dtype, a list, a scalar, a
+    size-1 array, an ndarray subclass) is converted to float and broadcast
+    to *shape*, so a model that ignores its input may return a scalar.
+    Finiteness is read from the two extremes (:func:`_extremes`), which are
+    a NaN if there is one.
 
     Raises
     ------
+    ValueError
+        If a scalar call's output is not a real number or a 0-d array (a
+        size-1 array or a list, say), or an array call's output cannot be
+        converted to float or broadcast to *shape*; the message names the
+        model function, the step, the output's type and shape and the
+        expected shape.
     FilterDivergenceError
         If any value is NaN or infinite; the message names the model
         function and the step.
     """
-    if shape == ():
-        out = float(value)
-        finite = math.isfinite(out)
-    else:
-        if type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape:
-            out = value
+    try:
+        if shape == ():
+            out = float(value)
+            finite = math.isfinite(out)
         else:
-            out = np.broadcast_to(np.asarray(value, dtype=float), shape)
-        lo, hi = _extremes(out)
-        finite = -math.inf < lo and hi < math.inf
+            if type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape:
+                out = value
+            else:
+                out = np.broadcast_to(np.asarray(value, dtype=float), shape)
+            lo, hi = _extremes(out)
+            finite = -math.inf < lo and hi < math.inf
+    except (TypeError, ValueError):
+        got = f"{type(value).__name__} of shape {np.asarray(value, dtype=object).shape}"
+        raise ValueError(f"model {name} returned {got} at step {k}, expected shape {shape}") from None
     if not finite:
         raise FilterDivergenceError(
             f"model {name} returned a non-finite value at step {k}"
@@ -423,25 +435,22 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
     whose extreme end reaches ``e <= 0`` past ``lo`` or ``hi`` clears exactly
     when ``m >= (e + k span) / (1 - 2 k)`` with ``k = 2 / order + 5.25 rho``.
     When the widest bump of the order, ``rho_max``, clears from the very
-    end at ``m0``, ``m0`` is returned as it is.  Otherwise the margin is
-    solved per start, re-reading each ``rho`` at the widened width, for up
-    to four rounds; failing that, ``rho_max``'s closed form, which every
-    start clears, is taken.
+    end at ``m0`` (``k_max`` of :func:`_reference_clearance`), ``m0`` is
+    returned as it is.  Otherwise the margin is solved per start,
+    re-reading each ``rho`` at the widened width, for up to four rounds;
+    failing that, ``rho_max``'s closed form, which every start clears, is
+    taken.
 
     Raises
     ------
-    DomainEscapeError
-        If no margin can hold the widest bump (:func:`_widest_clearance`):
-        an order of 28 or less (``grid_nodes`` 29 or less) whatever the
-        model. The message names ``grid_nodes``.
+    ValueError
+        From :func:`checked_grid_nodes`, if no margin can hold the widest
+        bump of the order: an order of 28 or less (``grid_nodes`` 29 or
+        less) whatever the model.
     """
-    k_max = _widest_clearance(order)
+    ref, k_max = _reference_clearance(order)
     if k_max is None:
-        raise DomainEscapeError(
-            f"no domain keeps a bump of {_BUMP_WIDTH:g} node spacings "
-            f"{_CLEARANCE:g} widths inside the boundary margin at "
-            f"grid_nodes={order + 1}; the grid is too coarse"
-        )
+        checked_grid_nodes(order + 1)  # raises: the order is not served
     start_lo, start_hi = _extremes(branches.start_state)
     ends = branches.start_state + branches.drift
     end_lo, end_hi = _extremes(ends)
@@ -457,7 +466,6 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
     excess = [max(lo - (e + noise_lo), (e + noise_hi) - hi) for e in ends.tolist()]
     starts = branches.start_state.tolist()
     middle = lo + hi
-    ref = _reference_widths(order)[0]
     for _ in range(_DOMAIN_ROUNDS):
         width = span + 2.0 * margin
         needed = margin
@@ -475,7 +483,9 @@ def prediction_domain(branches: Branches, order: int, process_std: float) -> Int
 def checked_grid_nodes(value) -> int:
     """*value* as a grid node count that :func:`prediction_domain` can
     serve, a Python int: some margin holds the widest bump of the order
-    ``value - 1`` (:func:`_widest_clearance`).
+    ``value - 1`` (:func:`_reference_clearance`).  This is the one place a
+    grid is refused; :class:`~pdefilter.filters.PdefConfig` and
+    :func:`prediction_domain` both call it.
 
     Raises
     ------
@@ -487,7 +497,8 @@ def checked_grid_nodes(value) -> int:
         from *value* up that is, since coarser orders have wider bumps.
     """
     count = checked_count("grid_nodes", value, 1)
-    fewest = next(n for n in itertools.count(max(count, 2)) if _widest_clearance(n - 1))
+    # k_max is None or positive
+    fewest = next(n for n in itertools.count(max(count, 2)) if _reference_clearance(n - 1)[1])
     if fewest > count:
         raise ValueError(
             f"grid_nodes must be >= {fewest}, got {count}: no domain keeps the bumps "
@@ -496,30 +507,28 @@ def checked_grid_nodes(value) -> int:
     return count
 
 
-def _widest_clearance(order: int) -> float | None:
-    """``k_max = 2 / order + 5.25 rho_max``: the margin bounds' distance from
-    the domain's ends plus the clearance of the order's widest bump, per
-    unit domain width (:func:`prediction_domain`); or None when no margin
-    holds that bump, ``1 - 2 k_max <= 0``."""
-    k_max = 2.0 / order + _CLEARANCE * _reference_widths(order)[1]
-    return k_max if 1.0 - 2.0 * k_max > 0.0 else None
-
-
 # typed, as diff_matrix is: an order-47 entry never answers order 47.0
 @lru_cache(maxsize=32, typed=True)
-def _reference_widths(order: int) -> tuple[SpectralGrid, float]:
-    """The order-*order* grid on [-1, 1] and ``rho_max``, the widest bump
-    width per unit domain width on any order-*order* grid.
+def _reference_clearance(order: int) -> tuple[SpectralGrid, float | None]:
+    """The order-*order* grid on [-1, 1] and ``k_max = 2 / order + 5.25
+    rho_max``: the margin bounds' distance from the domain's ends plus the
+    clearance of the order's widest bump, per unit domain width
+    (:func:`prediction_domain`); ``k_max`` is None when no margin holds that
+    bump, ``1 - 2 k_max <= 0``.
 
-    A bump's width is 1.5 mean node gaps, and the physical gaps are the
-    reference gaps times half the domain width, so the width of a bump at
-    reference position ``xi`` is ``W mollification_sigma(ref, xi) / 2``.
-    The widest is at a node near the middle, where the gaps are widest; an
-    order-1 grid has no interior node, and its one width is read at 0.
+    ``rho_max`` is the widest bump width per unit domain width on any
+    order-*order* grid.  A bump's width is 1.5 mean node gaps, and the
+    physical gaps are the reference gaps times half the domain width, so the
+    width of a bump at reference position ``xi`` is ``W
+    mollification_sigma(ref, xi) / 2``.  The widest is at a node near the
+    middle, where the gaps are widest; an order-1 grid has no interior node,
+    and its one width is read at 0.
     """
     ref = SpectralGrid.build(order, Interval(-1.0, 1.0))
     centers = ref.node_list[1:-1] or [0.0]
-    return ref, 0.5 * max(mollification_sigma(ref, x) for x in centers)
+    rho_max = 0.5 * max(mollification_sigma(ref, x) for x in centers)
+    k_max = 2.0 / order + _CLEARANCE * rho_max
+    return ref, (k_max if 1.0 - 2.0 * k_max > 0.0 else None)
 
 
 def assemble_prior(branches: Branches, grid_next: SpectralGrid) -> GridDensity:

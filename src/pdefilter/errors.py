@@ -18,8 +18,11 @@ class SingularMatrixError(ValueError):
 class DomainEscapeError(RuntimeError):
     """Raised when an advected density would cross the grid boundary margin.
 
+    Only the prior assembly's escape check raises it, when more than 1e-6
+    of a branch's mass would cross; the message names the offending branch.
     The fix is almost always to widen the domain used for the prediction
-    step; the message names the offending branch.
+    step.  A grid too coarse for any domain is refused earlier, with a
+    ``ValueError`` naming ``grid_nodes``.
     """
 
 

@@ -125,7 +125,11 @@ class PdefConfig:
     (:func:`~pdefilter.density.mollified_delta`).  ``grid_nodes`` of 29 or
     fewer is refused with ``ValueError``: no domain keeps the bumps of such
     a grid inside its boundary margin
-    (:func:`~pdefilter.density.checked_grid_nodes`).  On the growth model
+    (:func:`~pdefilter.density.checked_grid_nodes`, the one rule that
+    refuses a grid, which :func:`~pdefilter.density.prediction_domain`
+    applies too).  The fields have defaults, but no function builds a
+    configuration for its caller: :func:`pdef_init` and :func:`pdef_step`
+    take one, and importing the package builds none.  On the growth model
     with 16 x 16 branches every run from 30 to 36 nodes loses its posterior
     mass; 40 is the smallest grid measured to complete (README, Command
     line).
@@ -227,8 +231,10 @@ def _observed(y_k, k: int) -> float:
 # density-evolution filter
 # --------------------------------------------------------------------------
 
-def pdef_init(model: ScalarStateModel, cfg: PdefConfig = PdefConfig()) -> PdefState:
-    """Initial grid posterior: the model's initial Gaussian on an 8-sigma grid."""
+def pdef_init(model: ScalarStateModel, cfg: PdefConfig) -> PdefState:
+    """Initial grid posterior: the model's initial Gaussian on an 8-sigma
+    grid of ``cfg.grid_nodes`` nodes.  *cfg* is required: no configuration
+    is built for the caller."""
     initial = model.initial
     half = 8.0 * initial.std
     grid = SpectralGrid.build(
@@ -264,7 +270,7 @@ def pdef_step(
     noise: np.ndarray,
     k: int,
     y_k: float,
-    cfg: PdefConfig = PdefConfig(),
+    cfg: PdefConfig,
 ) -> PdefState:
     """One predict/update recursion of the density-evolution filter.
 
@@ -276,12 +282,16 @@ def pdef_step(
     (:func:`~pdefilter.density.prediction_domain`), and assembles the
     transported prior there, in one attempt; the update multiplies the
     prior by the observation likelihood at the nodes and renormalizes.
+    *cfg* is required, as for :func:`pdef_init`; its ``grid_nodes`` was
+    checked when it was built, so every step's grid is served.
 
     Raises
     ------
     ValueError
         If ``y_k`` is not a real number or is NaN or infinite, before any
-        model call; if *noise* is empty, not 1-D or not finite.
+        model call; if *noise* is empty, not 1-D or not finite; if a model
+        output has the wrong shape
+        (:func:`~pdefilter.density.model_output`).
     DomainEscapeError
         If more than 1e-6 of a branch's mass still crosses the boundary
         margin (the message names the branch).
@@ -330,7 +340,8 @@ def pf_step(
     ------
     ValueError
         If ``y_k`` is not a real number or is NaN or infinite, before any
-        model call.
+        model call; if a model output has the wrong shape
+        (:func:`~pdefilter.density.model_output`).
     WeightUnderflowError
         If every reweighted particle weight underflows to zero.
     FilterDivergenceError
@@ -465,7 +476,8 @@ def ukf_step(state: UkfState, model: ScalarStateModel, k: int, y_k: float) -> Uk
     ------
     ValueError
         If ``y_k`` is not a real number or is NaN or infinite, before any
-        model call.
+        model call; if a model output is not a real number or a 0-d array
+        (:func:`~pdefilter.density.model_output`).
     FilterDivergenceError
         If the model returns a non-finite value or the moments overflow.
     """

@@ -875,12 +875,12 @@ class TestDensityQuantiles:
     )
     def test_rejects_nan_or_out_of_range_probabilities(self, probs):
         # [1.5, -0.2] once returned the two domain ends and [nan] a NaN start
-        posterior = flt.pdef_init(benchmark_model()).posterior
+        posterior = flt.pdef_init(benchmark_model(), flt.PdefConfig()).posterior
         with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
             dn.density_quantiles(posterior, probs)
 
     def test_end_probabilities_give_the_domain_ends(self):
-        posterior = flt.pdef_init(benchmark_model()).posterior
+        posterior = flt.pdef_init(benchmark_model(), flt.PdefConfig()).posterior
         domain = posterior.grid.domain
         got = dn.density_quantiles(posterior, [0.0, 1.0])
         np.testing.assert_allclose(got, [domain.lo, domain.hi], rtol=0, atol=1e-12)
@@ -1000,8 +1000,8 @@ class TestPredictionDomain:
         order = grid.order
         std = 1.0 if case.startswith("linear") else benchmark_model().process_noise.std
         lo, hi, margin = fixed_margin(branches, order, std)
-        widest = dn._reference_widths(order)[1]
-        assert margin >= (2.0 / order + 5.25 * widest) * (hi - lo + 2.0 * margin)
+        k_max = dn._reference_clearance(order)[1]
+        assert margin >= k_max * (hi - lo + 2.0 * margin)
         assert (grid.domain.lo, grid.domain.hi) == (lo - margin, hi + margin)
 
     def test_escape_check_stays_quiet_where_five_widths_tripped_it(self):
@@ -1014,29 +1014,39 @@ class TestPredictionDomain:
             [-3.6377241469515873, -1.007626142314805, 1.007626142314805, 3.6377241469515873],
         )
         std = benchmark_model().process_noise.std
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dn, "_CLEARANCE", 5.0)
-            grid = SpectralGrid.build(47, dn.prediction_domain(branches, 47, std))
-            with pytest.raises(DomainEscapeError, match="for branch 7 crosses"):
-                dn.assemble_prior(branches, grid)
+        # the per-order record caches k_max at the clearance it was built
+        # with, so it is rebuilt on entering and on leaving the patch
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dn, "_CLEARANCE", 5.0)
+                dn._reference_clearance.cache_clear()
+                grid = SpectralGrid.build(47, dn.prediction_domain(branches, 47, std))
+                with pytest.raises(DomainEscapeError, match="for branch 7 crosses"):
+                    dn.assemble_prior(branches, grid)
+        finally:
+            dn._reference_clearance.cache_clear()
         grid = SpectralGrid.build(47, dn.prediction_domain(branches, 47, std))
         assert dn.integrate(dn.assemble_prior(branches, grid)) == pytest.approx(1.0)
 
     def test_widest_width_bounds_every_bump(self):
-        # rho_max is the largest bump width per unit domain width, read on
-        # [-1, 1]; on a physical grid every node's bump is at most it
-        for order in (27, 47, 99, 149):
-            widest = dn._reference_widths(order)[1]
+        # k_max = 2 / order + 5.25 rho_max, with rho_max the largest bump
+        # width per unit domain width, read on [-1, 1]; on a physical grid
+        # every node's bump is at most it, and the widest is rho_max
+        for order in (29, 47, 99, 149):
+            k_max = dn._reference_clearance(order)[1]
             grid = SpectralGrid.build(order, Interval(-3.0, 17.0))
             mids = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
             sigmas = [dn.mollification_sigma(grid, x) for x in grid.nodes[1:-1].tolist() + mids.tolist()]
-            assert max(sigmas) == pytest.approx(widest * grid.domain.width, rel=1e-12)
+            widest = max(sigmas) / grid.domain.width
+            assert 2.0 / order + 5.25 * widest == pytest.approx(k_max, rel=1e-12)
 
     @pytest.mark.parametrize("grid_nodes", [4, 16, 28, 29])
     def test_grids_of_29_nodes_or_fewer_are_refused(self, grid_nodes):
+        # by checked_grid_nodes, the one refusal of a grid
         branches = product_of([0.0], [1.0], [0.0])
-        with pytest.raises(DomainEscapeError, match=f"grid_nodes={grid_nodes};"):
+        with pytest.raises(ValueError, match=f"^grid_nodes must be >= 30, got {grid_nodes}: "):
             dn.prediction_domain(branches, grid_nodes - 1, 1.0)
+        assert dn._reference_clearance(grid_nodes - 1)[1] is None
 
     def test_30_nodes_are_served(self):
         branches = product_of([0.0, 2.0], [1.0, -1.0], [-0.5, 0.5])
@@ -1321,9 +1331,9 @@ class TestAssemblePrior:
     def test_empty_branches_rejected(self):
         # no branches can reach assemble_prior: an empty noise array is
         # refused where pdef_step builds its branches
-        model = benchmark_model()
+        model, cfg = benchmark_model(), flt.PdefConfig()
         with pytest.raises(ValueError, match="^branch field noise_value must not be empty$"):
-            flt.pdef_step(flt.pdef_init(model), model, np.array([]), 1, 0.5)
+            flt.pdef_step(flt.pdef_init(model, cfg), model, np.array([]), 1, 0.5, cfg)
 
 
 class TestMoments:

@@ -12,11 +12,7 @@ from pdefilter import density as dn
 from pdefilter import filters as flt
 from pdefilter.bench import benchmark_model, simulate_truth
 from pdefilter.chebyshev import Interval, SpectralGrid, diff_matrix
-from pdefilter.errors import (
-    DomainEscapeError,
-    FilterDivergenceError,
-    WeightUnderflowError,
-)
+from pdefilter.errors import FilterDivergenceError, WeightUnderflowError
 
 from _helpers import gauss_lobatto_nodes, l1_distance
 from _oracles import gaussian_pdf, kalman_filter
@@ -307,7 +303,8 @@ class TestPdefStep:
         model = linear_model(a=0.9, c=1.0, q=1.0, r=1.0, m0=0.0, p0=1.0)
         noise = flt.gaussian_quantile_points(16, 1.0)
         y1 = 0.7
-        state = flt.pdef_step(flt.pdef_init(model), model, noise, 1, y1)
+        cfg = flt.PdefConfig()
+        state = flt.pdef_step(flt.pdef_init(model, cfg), model, noise, 1, y1, cfg)
         means, variances = kalman_filter([y1], 0.9, 1.0, 1.0, 1.0, 0.0, 1.0)
         assert abs(flt.estimate(state) - means[0]) <= 0.05
         assert abs(grid_variance(state.posterior) - variances[0]) <= 0.05
@@ -353,17 +350,18 @@ class TestPdefStep:
             flt.PdefConfig(grid_nodes=16)
 
     def test_config_accepts_the_grids_the_domain_rule_serves(self):
-        # PdefConfig and prediction_domain refuse the same grids: 29 nodes
-        # or fewer
+        # PdefConfig and prediction_domain refuse the same grids, 29 nodes
+        # or fewer, with the same error
         branches = dn.Branches([0.0], [1.0], [0.0])
         for grid_nodes in range(2, 61):
             try:
                 dn.prediction_domain(branches, grid_nodes - 1, 1.0)
-            except DomainEscapeError:
+            except ValueError as error:
                 assert grid_nodes <= 29
-                message = f"^grid_nodes must be >= 30, got {grid_nodes}:"
-                with pytest.raises(ValueError, match=message):
+                assert str(error).startswith(f"grid_nodes must be >= 30, got {grid_nodes}: ")
+                with pytest.raises(ValueError) as refused:
                     flt.PdefConfig(grid_nodes=grid_nodes)
+                assert str(refused.value) == str(error)
             else:
                 assert flt.PdefConfig(grid_nodes=grid_nodes).grid_nodes == grid_nodes >= 30
 
@@ -755,6 +753,76 @@ class TestModelOutput:
         assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (4,)
         np.testing.assert_array_equal(out, np.full(4, float(np.asarray(value).item())))
 
+    @pytest.mark.parametrize(
+        "value, got",
+        [
+            (np.array([2.5]), r"ndarray of shape \(1,\)"),
+            ([2.5], r"list of shape \(1,\)"),
+            (np.zeros((1, 1)), r"ndarray of shape \(1, 1\)"),
+            (None, r"NoneType of shape \(\)"),
+        ],
+        ids=["size-1-array", "list", "2-d", "none"],
+    )
+    def test_scalar_call_refuses_other_outputs_naming_them(self, value, got):
+        # float() stopped on these with a bare TypeError naming neither the
+        # model function nor the step
+        message = f"^model transition returned {got} at step 6, expected shape \\(\\)$"
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("transition", value, (), 6)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 2, np.float32(2.5), np.float64(2.5), np.array(2.5), Fraction(5, 2)], ids=repr
+    )
+    def test_scalar_call_takes_real_numbers_and_0d_arrays(self, value):
+        out = dn.model_output("transition", value, (), 1)
+        assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize(
+        "value, got",
+        [
+            (np.zeros(4), r"ndarray of shape \(4,\)"),
+            ([1.0, 2.0], r"list of shape \(2,\)"),
+            (np.zeros((2, 3)), r"ndarray of shape \(2, 3\)"),
+        ],
+        ids=["longer", "shorter-list", "2-d"],
+    )
+    def test_array_call_refuses_an_output_that_does_not_broadcast(self, value, got):
+        # numpy's broadcast error named neither the model function nor the step
+        message = f"^model observation returned {got} at step 2, expected shape \\(3,\\)$"
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("observation", value, (3,), 2)
+
+    @pytest.mark.parametrize("name", ["pdef", "pf", "ukf"])
+    def test_filters_refuse_an_output_of_the_wrong_shape(self, name):
+        # one entry too many: shape (2,) for the UKF's scalar calls, n + 1
+        # entries for an array of n
+        model = flt.ScalarStateModel(
+            transition=lambda x, k, v: 0.9 * x + v,
+            observation=lambda x, k: np.append(x, 0.0),
+            process_noise=flt.GaussianSpec(0.0, 1.0),
+            obs_noise=flt.GaussianSpec(0.0, 1.0),
+            initial=flt.GaussianSpec(0.0, 1.0),
+        )
+        cfg = flt.PdefConfig(grid_nodes=40, state_quantiles=4)
+        steps = {
+            "pdef": (lambda: flt.pdef_step(
+                flt.pdef_init(model, cfg), model, flt.gaussian_quantile_points(4, 1.0),
+                3, 0.2, cfg,
+            ), "41,", "40,"),
+            "pf": (lambda: flt.pf_step(
+                flt.pf_init(model, 20, np.random.default_rng(0)), model, 3, 0.2,
+                np.random.default_rng(1),
+            ), "21,", "20,"),
+            "ukf": (lambda: flt.ukf_step(flt.ukf_init(model), model, 3, 0.2), "2,", ""),
+        }
+        step, got, expected = steps[name]
+        message = (
+            f"^model observation returned ndarray of shape \\({got}\\) at step 3, "
+            f"expected shape \\({expected}\\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            step()
+
     def test_read_only_model_arrays_run_through_pf_and_pdef_unchanged(self):
         returned = []
 
@@ -865,7 +933,8 @@ class TestEstimate:
 def growth_branches(state_points):
     model = benchmark_model()
     noise = flt.gaussian_quantile_points(4, model.process_noise.variance)
-    return dn.make_branches(flt.pdef_init(model).posterior, noise, model, 1, state_points)
+    posterior = flt.pdef_init(model, flt.PdefConfig()).posterior
+    return dn.make_branches(posterior, noise, model, 1, state_points)
 
 
 # (call on a generator, argument it must name, its value): each count argument that
@@ -909,10 +978,10 @@ class TestValidation:
     def test_noise_quantization_rejects_non_finite_points(self):
         # the noise points are a plain array; the branches built from them
         # refuse a non-finite one
-        model = benchmark_model()
+        model, cfg = benchmark_model(), flt.PdefConfig()
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="^branch field noise_value must be finite$"):
-                flt.pdef_step(flt.pdef_init(model), model, np.array([0.0, bad]), 1, 0.5)
+                flt.pdef_step(flt.pdef_init(model, cfg), model, np.array([0.0, bad]), 1, 0.5, cfg)
 
     def test_pf_state_rejects_non_finite_particles(self):
         with pytest.raises(ValueError, match="particles must be finite"):

@@ -27,6 +27,23 @@ def test_import_loads_no_scipy_module():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_builds_no_grid():
+    # no configuration is built at import, so no grid order has been served
+    # and every per-order cache of the grid layers is empty
+    done = run_python(
+        "import pdefilter\n"
+        "from pdefilter import chebyshev, density\n"
+        "print(density._reference_clearance.cache_info().currsize)\n"
+        "print(sorted(\n"
+        "    (module.__name__, name) for module in (chebyshev, density)\n"
+        "    for name, f in vars(module).items()\n"
+        "    if hasattr(f, 'cache_info') and f.cache_info().currsize\n"
+        "))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
+
+
 def test_cli_runs_with_scipy_blocked(tmp_path):
     # a None entry in sys.modules makes every `import scipy` raise ImportError
     done = run_python(

@@ -1,4 +1,5 @@
-"""In-process timings of the density filter's prediction layers and pf_step.
+"""In-process timings of the density filter's prediction layers, pf_step
+and ukf_step.
 
     PYTHONPATH=src python tools/microbench.py [--repeat N] [--json]
 
@@ -24,7 +25,9 @@ It also times one ``pf_step`` on the growth model at 100 and 10^4
 particles (``PF_SIZES``), on the cloud a seeded pf run of ``STEPS`` steps
 at seed ``SEED`` holds entering its last step, with that step's
 observation; its draws continue that run's particle generator, which
-advances from call to call.
+advances from call to call.  Beside them it times one ``ukf_step`` on the
+growth model, on the state a seeded ukf run of ``STEPS`` steps at seed
+``SEED`` holds entering its last step, with that step's observation.
 
 It prints the best time per call over ``--repeat`` rounds, in
 microseconds.  Each round runs as many calls as fill about 0.2 s.  The
@@ -32,8 +35,9 @@ script imports the package only, so pointing ``PYTHONPATH`` at another
 checkout's ``src`` times that checkout on the same inputs, if its
 ``_transport`` has this one's signature: ``(order, bumps, shifts,
 noise_shifts)`` on nodal rows, with every branch equally weighted, its
-``_check_escape`` this one's: ``(grid, bumps, branches)``, and its
-``pf_step`` this one's: ``(state, model, k, y_k, rng)``.
+``_check_escape`` this one's: ``(grid, bumps, branches)``, its ``pf_step``
+this one's: ``(state, model, k, y_k, rng)``, and its ``ukf_step`` this
+one's: ``(state, model, k, y_k)``.
 """
 
 from __future__ import annotations
@@ -162,6 +166,18 @@ def pf_timings(n_particles: int, repeat: int) -> dict:
     return {"pf_step": best_us(lambda: flt.pf_step(state, model, STEPS, y_last, rng), repeat)}
 
 
+def ukf_timings(repeat: int) -> dict:
+    """Best time of one ``ukf_step`` on the state entering the last step of
+    a seeded ukf run, with that step's observation."""
+    model = benchmark_model()
+    _, observations = simulate_truth(model, STEPS, run_seed_streams(SEED, 0)[0])
+    state = flt.ukf_init(model)
+    for k, y in enumerate(observations[:-1].tolist(), 1):
+        state = flt.ukf_step(state, model, k, y)
+    y_last = float(observations[-1])
+    return {"ukf_step": best_us(lambda: flt.ukf_step(state, model, STEPS, y_last), repeat)}
+
+
 def print_table(results: dict) -> None:
     names = list(next(iter(results.values())))
     print(f"{'best us per call':<20}" + "".join(f"{label:>16}" for label in results))
@@ -182,13 +198,16 @@ def main(argv=None) -> int:
         for label, model, nodes, points in SIZES
     }
     pf_results = {label: pf_timings(n, args.repeat) for label, n in PF_SIZES}
+    ukf_results = {"ukf": ukf_timings(args.repeat)}
     if args.json:
-        every = {**results, **pf_results}
+        every = {**results, **pf_results, **ukf_results}
         print(json.dumps({label: {k: round(v, 3) for k, v in r.items()} for label, r in every.items()}))
         return 0
     print_table(results)
     print()
     print_table(pf_results)
+    print()
+    print_table(ukf_results)
     return 0
 
 
