@@ -20,6 +20,7 @@ diagonal), which also pins the corner magnitudes to ``(2 N^2 + 1) / 6``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,14 +30,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Interval:
-    """A physical interval [lo, hi] with lo < hi."""
+    """A physical interval [lo, hi] with lo < hi, its endpoints finite real
+    numbers (:func:`checked_real`) stored as Python floats."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo = checked_real("lo", self.lo)
+        hi = checked_real("hi", self.hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if lo >= hi:
@@ -221,6 +223,27 @@ def checked_count(name: str, value, minimum: int) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def checked_real(name: str, value) -> float:
+    """*value*, the real argument *name*, as a Python float: the one real
+    number check of the package.
+
+    A Python float passes on one type test.  Any other ``numbers.Real``
+    that is not a bool is converted: an int or a numpy integer or float.  A
+    bool, a string, an array and anything else is refused, where ``float()``
+    would take ``True`` as 1.0 and parse ``"0.5"``.
+
+    Raises
+    ------
+    ValueError
+        Naming *name*, if *value* is not a real number.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import (
-    Interval, SpectralGrid, affine_scale, barycentric_matrix, checked_count, diff_matrix,
+    Interval, SpectralGrid, affine_scale, barycentric_matrix, checked_count, checked_real,
+    diff_matrix,
 )
 from .errors import DomainEscapeError, FilterDivergenceError
 
@@ -234,7 +235,7 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
     if grid is cached_grid and center is cached_center:
         return cached
     # the width checks the center first, so a NaN is refused, never cached
-    center = float(center)
+    center = checked_real("center", center)
     sigma = mollification_sigma(grid, center)
     # exp(-0.5 ((x - center) / sigma)^2), built in one array
     values = grid.nodes - center
@@ -261,9 +262,10 @@ def mollification_sigma(grid: SpectralGrid, center: float) -> float:
     Raises
     ------
     ValueError
-        If *center* is not strictly inside the grid's domain (NaN included).
+        If *center* is not a real number (:func:`~pdefilter.chebyshev.checked_real`)
+        or not strictly inside the grid's domain (NaN included).
     """
-    center = float(center)
+    center = checked_real("center", center)
     if not grid.domain.lo < center < grid.domain.hi:
         raise ValueError(
             f"delta center {center} not strictly inside "
@@ -311,7 +313,9 @@ def model_output(name: str, value, shape: tuple, k: int):
     copied; no filter writes to it, so a model may return a read-only array
     or one it keeps.  Any other output (another dtype, a list, a scalar, a
     size-1 array, an ndarray subclass) is converted to float and broadcast
-    to *shape*, so a model that ignores its input may return a scalar.
+    to *shape*, so a model that ignores its input may return a scalar.  A
+    bool, a string or bytes, or an array of them, is not a number and is
+    refused on both paths.
     Finiteness is read from the two extremes (:func:`_extremes`), which are
     a NaN if there is one.
 
@@ -319,23 +323,23 @@ def model_output(name: str, value, shape: tuple, k: int):
     ------
     ValueError
         If a scalar call's output is not a real number or a 0-d array (a
-        size-1 array or a list, say), or an array call's output cannot be
-        converted to float or broadcast to *shape*; the message names the
-        model function, the step, the output's type and shape and the
-        expected shape.
+        size-1 array, a list or a string, say), or an array call's output
+        holds bools, strings or bytes, or cannot be converted to float or
+        broadcast to *shape*; the message names the model function, the
+        step, the output's type and shape and the expected shape.
     FilterDivergenceError
         If any value is NaN or infinite; the message names the model
         function and the step.
     """
     try:
         if shape == ():
-            out = float(value)
+            out = value if type(value) is float else float(_numeric(value, 0))
             finite = math.isfinite(out)
         else:
             if type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape:
                 out = value
             else:
-                out = np.broadcast_to(np.asarray(value, dtype=float), shape)
+                out = np.broadcast_to(_numeric(value).astype(float, copy=False), shape)
             lo, hi = _extremes(out)
             finite = -math.inf < lo and hi < math.inf
     except (TypeError, ValueError):
@@ -346,6 +350,16 @@ def model_output(name: str, value, shape: tuple, k: int):
             f"model {name} returned a non-finite value at step {k}"
         )
     return out
+
+
+def _numeric(value, ndim=None) -> np.ndarray:
+    """*value* as an array whose dtype is a number's, of *ndim* dimensions
+    if given; ``TypeError`` for a bool, a string or bytes, or an array of
+    them, which ``float`` would take as 1.0 or parse."""
+    a = np.asarray(value)
+    if a.dtype.kind in "bSU" or (ndim is not None and a.ndim != ndim):
+        raise TypeError
+    return a
 
 
 def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:
@@ -383,13 +397,12 @@ def make_branches(posterior, noise, model, k: int, state_points: int) -> Branche
 def density_quantiles(density: GridDensity, probs) -> np.ndarray:
     """Invert the quadrature CDF of a density at the given probabilities.
 
-    The interpolant is sampled on a fine uniform mesh, integrated by the
-    trapezoid rule and inverted by monotone interpolation; deterministic
-    and accurate to a small fraction of a node spacing.  The sampling
-    kernel and the mesh, as fractions of the domain in [0, 1], depend only
-    on the grid order and are cached.  The kernel holds the left half of the
-    mesh only: the right half is the mirror image, the left half applied to
-    the reversed values.  The mesh spacing is uniform, so it cancels from
+    The interpolant is sampled on the uniform mesh of ``8 N + 1`` points of
+    an order-N grid, integrated by the trapezoid rule and inverted by
+    monotone interpolation; deterministic and accurate to a small fraction
+    of a node spacing.  The sampling kernel and the mesh, as fractions of
+    the domain in [0, 1], depend only on the grid order and are cached
+    (:func:`_cdf_kernel`).  The mesh spacing is uniform, so it cancels from
     the normalized CDF and is never multiplied in.  A probability that is
     NaN or outside [0, 1] raises ``ValueError``.
     """
@@ -400,11 +413,7 @@ def density_quantiles(density: GridDensity, probs) -> np.ndarray:
             raise ValueError(f"probabilities must lie in [0, 1], got {lo!r} to {hi!r}")
     grid = density.grid
     kernel, mesh = _cdf_kernel(grid.order)
-    v = density.values
-    halves = kernel @ np.column_stack((v, v[::-1]))
-    # the left half ascends to the midpoint; the right half is the mirrored
-    # column read backwards, less its copy of the midpoint
-    pf = np.concatenate((halves[:, 0], halves[-2::-1, 1]))
+    pf = kernel @ density.values
     np.maximum(pf, 0.0, out=pf)
     # twice the trapezoid areas over the spacing, summed from the left edge
     cdf = np.zeros(pf.size)
@@ -650,25 +659,17 @@ class _Eigensystem:
     v: np.ndarray
 
 
-# each kernel holds (m + 1) x (N + 1) doubles for a mesh of 2 m + 1 points,
-# 1.2 MB at N = 149, which fits a 2 MB L2 cache
+# each kernel holds (8 N + 1) x (N + 1) doubles, 1.4 MB at N = 149, which
+# fits a 2 MB L2 cache
 @lru_cache(maxsize=8)
 def _cdf_kernel(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation rows from the nodal values of an order-*order* grid to
-    the left half of the uniform CDF mesh of :func:`density_quantiles`
-    (reference points -1 to 0, so one kernel serves every domain), and the
-    whole mesh as fractions of the domain in [0, 1].
-
-    The mesh has an odd number 2 m + 1 of points, so its left half, the
-    m + 1 points up to the midpoint, mirrors its right half.  The nodes are
-    exactly antisymmetric and the barycentric weights alternate in sign, so
-    the row at ``-x`` is the row at ``x`` reversed, ``K(-x)[N - j] =
-    K(x)[j]``: the kernel applied to the reversed nodal values gives the
-    interpolant at the mirrored points, and the right half needs no rows of
-    its own."""
-    m = max(1000, 4 * order)
-    kernel = barycentric_matrix(order, np.linspace(-1.0, 0.0, m + 1))
-    mesh = np.linspace(0.0, 1.0, 2 * m + 1)
+    the uniform CDF mesh of :func:`density_quantiles`, ``8 order + 1``
+    points from -1 to 1 (reference points, so one kernel serves every
+    domain), and the same mesh as fractions of the domain in [0, 1]."""
+    size = 8 * order + 1
+    kernel = barycentric_matrix(order, np.linspace(-1.0, 1.0, size))
+    mesh = np.linspace(0.0, 1.0, size)
     for a in (kernel, mesh):
         a.setflags(write=False)
     return kernel, mesh

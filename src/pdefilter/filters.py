@@ -16,14 +16,13 @@ explicitly, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from . import density as density_mod
-from .chebyshev import Interval, SpectralGrid, checked_count
+from .chebyshev import Interval, SpectralGrid, checked_count, checked_real
 from .density import (
     GridDensity, assemble_prior, checked_grid_nodes, make_branches, model_output, prediction_domain,
 )
@@ -32,16 +31,20 @@ from .errors import FilterDivergenceError, WeightUnderflowError
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Mean and variance of a scalar Gaussian."""
+    """Mean and variance of a scalar Gaussian: real numbers
+    (:func:`~pdefilter.chebyshev.checked_real`), a finite mean and a
+    positive, finite variance."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        mean = checked_real("mean", self.mean)
+        variance = checked_real("variance", self.variance)
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not (variance > 0.0 and math.isfinite(variance)):
+            raise ValueError(f"variance must be positive and finite, got {variance}")
 
     @property
     def std(self) -> float:
@@ -162,10 +165,12 @@ def gaussian_quantile_points(n: int, variance: float) -> np.ndarray:
     standard deviation.  The inverse CDF is the standard library's
     ``statistics.NormalDist().inv_cdf`` (Wichura's AS241 rational
     approximations), within 6 ulps of the exact quantile for every n up to
-    256; n = 1 gives exactly 0.  A variance that is not positive and finite
+    256; n = 1 gives exactly 0.  A variance that is not a real number
+    (:func:`~pdefilter.chebyshev.checked_real`) or not positive and finite
     (NaN or infinity included) raises ``ValueError``.
     """
     n = checked_count("n", n, 1)
+    variance = checked_real("variance", variance)
     if not 0.0 < variance < math.inf:
         raise ValueError(f"variance must be positive and finite, got {variance}")
     probs = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
@@ -183,8 +188,9 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     """Normal density of the innovation ``y - y_pred`` with the given variance.
 
     Broadcasts over array-valued ``y_pred`` (e.g. grid nodes or particles),
-    returning a fresh array; 0-d inputs give a Python float.  An infinite
-    variance, which makes every likelihood 0, is refused.
+    returning a fresh array; 0-d inputs give a Python float.  A variance
+    that is not a real number (:func:`~pdefilter.chebyshev.checked_real`)
+    is refused, as is an infinite one, which makes every likelihood 0.
 
     The array is computed in place, in the order of
     ``exp(-0.5 * r * r / var) / sqrt(2 pi var)`` with ``r = y - y_pred``:
@@ -194,6 +200,7 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
     at unit variance) overflows to ``-inf``, whose ``exp`` is the
     likelihood 0, without a warning.
     """
+    obs_variance = checked_real("observation variance", obs_variance)
     if not 0.0 < obs_variance < math.inf:
         raise ValueError(f"observation variance must be positive and finite, got {obs_variance}")
     resid = np.asarray(y, dtype=float) - np.asarray(y_pred, dtype=float)
@@ -211,17 +218,15 @@ def gaussian_likelihood(y, y_pred, obs_variance: float):
 def _observed(y_k, k: int) -> float:
     """The observation ``y_k`` as a float.
 
-    A real number is taken: a Python or numpy integer or float.  A bool, a
-    string, an array of any shape and anything else is refused, as is a NaN
-    or infinite value; each with a ``ValueError`` naming ``y_k`` and step
-    *k*.
+    A real number is taken (:func:`~pdefilter.chebyshev.checked_real`): a
+    Python or numpy integer or float.  A bool, a string, an array of any
+    shape and anything else is refused, as is a NaN or infinite value; each
+    with a ``ValueError`` naming ``y_k`` and step *k*.
     """
-    if type(y_k) is float:
-        y = y_k
-    elif isinstance(y_k, numbers.Real) and not isinstance(y_k, bool):
-        y = float(y_k)
-    else:
-        raise ValueError(f"observation y_k must be a real number, got {y_k!r} at step {k}")
+    try:
+        y = checked_real("observation y_k", y_k)
+    except ValueError as err:
+        raise ValueError(f"{err} at step {k}") from None
     if not math.isfinite(y):
         raise ValueError(f"observation y_k must be finite, got {y} at step {k}")
     return y

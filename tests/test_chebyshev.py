@@ -149,6 +149,43 @@ class TestAffine:
         with pytest.raises(ValueError):
             Interval(2.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi, name",
+        [("0", "1", "lo"), (True, 2.0, "lo"), (0.0, np.True_, "hi"), (0.0, np.array(1.0), "hi")],
+        ids=["strings", "bool", "numpy-bool", "0-d-array"],
+    )
+    def test_interval_refuses_endpoints_that_are_not_real_numbers(self, lo, hi, name):
+        # float() parsed the strings and took True as 1.0
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            Interval(lo, hi)
+
+    def test_interval_stores_real_numbers_as_floats(self):
+        dom = Interval(np.int64(-2), np.float32(0.5))
+        assert dom == Interval(-2.0, 0.5)
+        assert type(dom.lo) is float and type(dom.hi) is float
+
+
+class TestCheckedReal:
+    @pytest.mark.parametrize(
+        "value", [0.25, -3, np.int64(7), np.float32(0.5), np.float64(-1.5), np.nan], ids=repr
+    )
+    def test_takes_real_numbers_as_floats(self, value):
+        out = cheb.checked_real("x", value)
+        assert type(out) is float and (out == float(value) or np.isnan(value))
+
+    def test_python_float_is_returned_as_it_is(self):
+        value = 0.1 + 0.2
+        assert cheb.checked_real("x", value) is value
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(False), "0.5", b"0.5", np.str_("1"), np.array(0.5), [0.5], None, 1j],
+        ids=repr,
+    )
+    def test_refuses_what_is_not_a_real_number_naming_it(self, value):
+        with pytest.raises(ValueError, match=r"^width must be a real number, got "):
+            cheb.checked_real("width", value)
+
 
 class TestSpectralGrid:
     def test_invariants(self):

@@ -35,8 +35,8 @@ EXACT_MEANS = Path(__file__).resolve().parent / "data" / "exact_means_seed1_step
 SEED, RUNS, STEPS = 1, 10, 50
 
 # the gap of pdef at the Table-1 setting (grid 100, 16 x 16 branches) over
-# the ten runs is 0.2053 (0.138 to 0.262 per run).  Mutations of the package
-# give 0.329 with 4 noise points, 0.393 with 8 state quantiles and 0.647 with
+# the ten runs is 0.2054 (0.138 to 0.262 per run).  Mutations of the package
+# give 0.329 with 4 noise points, 0.392 with 8 state quantiles and 0.654 with
 # a 60-node grid, while their RMSE moves only from 4.274 to 4.42-4.49
 TABLE1_GAP_BOUND = 0.25
 

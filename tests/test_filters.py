@@ -780,6 +780,44 @@ class TestModelOutput:
     @pytest.mark.parametrize(
         "value, got",
         [
+            ("3.5", r"str of shape \(\)"),
+            (b"3.5", r"bytes of shape \(\)"),
+            (np.str_("3.5"), r"str_ of shape \(\)"),
+            (np.array("3.5"), r"ndarray of shape \(\)"),
+            (True, r"bool of shape \(\)"),
+            (np.bool_(False), r"bool of shape \(\)"),
+            (np.array(True), r"ndarray of shape \(\)"),
+        ],
+        ids=["str", "bytes", "numpy-str", "0-d-str", "bool", "numpy-bool", "0-d-bool"],
+    )
+    def test_scalar_call_refuses_strings_and_bools(self, value, got):
+        # float() parsed "3.5" and took True as 1.0
+        message = f"^model transition returned {got} at step 1, expected shape \\(\\)$"
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("transition", value, (), 1)
+
+    @pytest.mark.parametrize(
+        "value, got",
+        [
+            (["1", "2", "3"], r"list of shape \(3,\)"),
+            (np.array(["1", "2", "3"]), r"ndarray of shape \(3,\)"),
+            (np.array([b"1", b"2", b"3"]), r"ndarray of shape \(3,\)"),
+            ("2", r"str of shape \(\)"),
+            ([True, False, True], r"list of shape \(3,\)"),
+            (np.array([True, False, True]), r"ndarray of shape \(3,\)"),
+            (True, r"bool of shape \(\)"),
+        ],
+        ids=["str-list", "str-array", "bytes-array", "str", "bool-list", "bool-array", "bool"],
+    )
+    def test_array_call_refuses_strings_and_bools(self, value, got):
+        # these became float arrays, the strings parsed and the bools 0 and 1
+        message = f"^model observation returned {got} at step 3, expected shape \\(3,\\)$"
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("observation", value, (3,), 3)
+
+    @pytest.mark.parametrize(
+        "value, got",
+        [
             (np.zeros(4), r"ndarray of shape \(4,\)"),
             ([1.0, 2.0], r"list of shape \(2,\)"),
             (np.zeros((2, 3)), r"ndarray of shape \(2, 3\)"),
@@ -1017,6 +1055,37 @@ class TestValidation:
     def test_ukf_state_rejects_non_finite_mean(self, mean):
         with pytest.raises(ValueError, match="mean must be finite"):
             flt.UkfState(mean, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, mean, variance, name",
+        [
+            (flt.GaussianSpec, True, 10.0, "mean"),
+            (flt.GaussianSpec, 0.0, True, "variance"),
+            (flt.GaussianSpec, "0", 10.0, "mean"),
+            (flt.GaussianSpec, 0.0, "10", "variance"),
+            (flt.GaussianSpec, np.bool_(False), 1.0, "mean"),
+            (flt.UkfState, 0.0, b"1", "variance"),
+        ],
+    )
+    def test_spec_refuses_a_field_that_is_not_a_real_number(self, spec, mean, variance, name):
+        # the bools were stored as they were; the strings stopped on a bare
+        # TypeError in math.isfinite
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            spec(mean, variance)
+
+    @pytest.mark.parametrize("mean, variance", [(0, 2), (np.float32(0.5), np.int64(3))])
+    def test_spec_takes_other_real_numbers(self, mean, variance):
+        spec = flt.GaussianSpec(mean, variance)
+        assert spec.mean == mean and spec.std == math.sqrt(variance)
+
+    @pytest.mark.parametrize("variance", [True, "10", np.bool_(True)], ids=repr)
+    def test_variance_arguments_refuse_what_is_not_a_real_number(self, variance):
+        # gaussian_likelihood took True as 1.0; gaussian_quantile_points
+        # stopped on a bare TypeError comparing 0.0 with "10"
+        with pytest.raises(ValueError, match="^observation variance must be a real number, got "):
+            flt.gaussian_likelihood(1.0, np.zeros(3), variance)
+        with pytest.raises(ValueError, match="^variance must be a real number, got "):
+            flt.gaussian_quantile_points(4, variance)
 
     def test_ukf_state_rejects_infinite_variance(self):
         with pytest.raises(ValueError, match="variance must be positive and finite"):
