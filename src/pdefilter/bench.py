@@ -77,7 +77,9 @@ def rmse(truth, estimates) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of a multi-run benchmark experiment; its defaults are
-    the command line's."""
+    the command line's.  ``state_quantiles`` sets both counts of the
+    density filter's S x S branches: the posterior's quantile points and
+    the process noise's."""
 
     filters: tuple = FILTER_ORDER
     steps: int = 50
@@ -85,7 +87,6 @@ class ExperimentConfig:
     particles: int = 100
     grid_nodes: int = f.PdefConfig.grid_nodes
     state_quantiles: int = f.PdefConfig.state_quantiles
-    noise_points: int = 16
     seed: int = 42
     pdef: f.PdefConfig = field(init=False, repr=False, compare=False)
 
@@ -105,7 +106,7 @@ class ExperimentConfig:
                 raise ValueError(f"duplicate filter {name!r}")
         if not self.filters:
             raise ValueError("no filters requested")
-        for attr in ("steps", "runs", "particles", "noise_points"):
+        for attr in ("steps", "runs", "particles"):
             f._set_count(self, attr, 1)
         # numpy's SeedSequence takes non-negative integer entropy only
         f._set_count(self, "seed", 0)
@@ -207,11 +208,12 @@ def _runs(cfg: ExperimentConfig, model, run_indices):
     ``outcomes`` maps each filter, in ``cfg.filters`` order, to its
     completed estimates and the reason it stopped, ``"ErrorType:
     message"``, or None; it failed at step ``len(estimates) + 1``.  The
-    model and the noise points are resolved once for all runs.
+    model and the ``cfg.state_quantiles`` noise points are resolved once
+    for all runs.
     """
     model = benchmark_model() if model is None else model
     noise = f.gaussian_quantile_points(
-        cfg.noise_points, model.process_noise.variance
+        cfg.state_quantiles, model.process_noise.variance
     )
     for run in run_indices:
         truth_rng, pf_rng = run_seed_streams(cfg.seed, run)

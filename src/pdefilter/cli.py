@@ -37,8 +37,7 @@ _FLAGS = (
     ("runs", "runs", "independent runs"),
     ("particles", "particles", "particle count for the particle filter"),
     ("grid", "grid_nodes", "grid node count for the density-evolution filter"),
-    ("state-quantiles", "state_quantiles", "posterior quantile points per prediction"),
-    ("noise-points", "noise_points", "process-noise representative points"),
+    ("state-quantiles", "state_quantiles", "posterior and process-noise points per prediction"),
     ("seed", "seed", "master seed"),
 )
 

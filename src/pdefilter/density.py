@@ -87,8 +87,18 @@ _CLEARANCE = 5.25
 # to the widest bump's closed form
 _DOMAIN_ROUNDS = 4
 
-# smallest normal double; GridDensity stores smaller values as 0.0
+# GridDensity stores as 0.0 every value below max(_TINY, peak * _FLUSH).
+# _TINY is the smallest normal double.  The smallest nonzero factors that
+# multiply nodal values are no smaller than 2^-62: entries of _eigensystem(order).w
+# reach 3.8e-19 at orders 47, 99 and 149, against 1.7e-6 for _cdf_kernel's
+# and 4.5e-5 for the reference quadrature weights.  A kept value times such
+# a factor is at least peak * 2^-(900 + 62), which is normal (2^-1022 or
+# more) for any peak of 2^-60 (8.7e-19) or more, and every normalized
+# density on a domain narrower than 1e18 peaks higher.  A flushed value is
+# 2^-900 of the peak, far below the 2^-53 rounding of any sum that holds
+# the peak, so no answer moves.
 _TINY = float(np.finfo(float).tiny)
+_FLUSH = 2.0 ** -900
 
 # mollified_delta's last result: (grid, center, bump)
 _last_bump = (None, None, None)
@@ -109,10 +119,17 @@ def _extremes(a: np.ndarray):
 class GridDensity:
     """Nonnegative density values at the nodes of a spectral grid.
 
-    Values below the smallest normal double (``np.finfo(float).tiny``,
-    about 2.2e-308) are stored as 0.0.  Far tails underflow into subnormal
-    doubles, which add nothing a quadrature can see but send every matrix
-    product over the values down a slow path of the floating-point unit.
+    Values below ``2^-900`` of the largest, or below the smallest normal
+    double (``np.finfo(float).tiny``, about 2.2e-308), are stored as 0.0.
+    A value a few decades above ``tiny`` is normal, but its products with
+    the small entries of the CDF kernel and the eigen-coordinate transform
+    are subnormal, and subnormal arithmetic runs down a slow path of the
+    floating-point unit: on 8 of 150 steps of three growth-table1
+    trajectories the posterior's smallest nonzero value was 2.5e-307 to
+    6.9e-306, and ``density_quantiles``' kernel product took 37 to 93 us,
+    against 9 to 16 us with that tail stored as 0.0.  The floor is
+    relative, so it never zeroes the peak and removes no mass that a
+    quadrature can see.
     """
 
     grid: SpectralGrid
@@ -125,14 +142,15 @@ class GridDensity:
                 f"expected {self.grid.n_nodes} nodal values, got shape {v.shape}"
             )
         # a NaN is picked as both extremes, so the two decide finiteness
-        # (checked before the sign) and whether anything is tiny
+        # (checked before the sign) and whether anything is below the floor
         lo, hi = _extremes(v)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("density values must be finite")
         if lo < 0.0:
             raise ValueError("density values must be nonnegative")
-        if lo < _TINY:
-            v[v < _TINY] = 0.0
+        floor = max(_TINY, hi * _FLUSH)
+        if lo < floor:
+            v[v < floor] = 0.0
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -307,24 +325,26 @@ def model_output(name: str, value, shape: tuple, k: int):
     """A model function's output, checked: a float for ``shape == ()``,
     otherwise a float array of *shape*.
 
-    A scalar call (``shape == ()``) takes a real number or a 0-d array and
-    returns it as a Python float.  For an array call, an output that is
-    exactly a float64 ``np.ndarray`` of *shape* is returned as it is, not
-    copied; no filter writes to it, so a model may return a read-only array
-    or one it keeps.  Any other output (another dtype, a list, a scalar, a
-    size-1 array, an ndarray subclass) is converted to float and broadcast
-    to *shape*, so a model that ignores its input may return a scalar.  A
-    bool, a string or bytes, or an array of them, is not a number and is
-    refused on both paths.
+    Each call takes a real number (:func:`~pdefilter.chebyshev.checked_real`:
+    a Python or numpy integer or float, not a bool) or an ``np.ndarray``
+    whose dtype is an integer's or a float's, of 0 dimensions for a scalar
+    call (``shape == ()``), which returns a Python float.  For an array
+    call, an output that is exactly a float64 ``np.ndarray`` of *shape* is
+    returned as it is, not copied; no filter writes to it, so a model may
+    return a read-only array or one it keeps.  Any other output (another
+    dtype, a number, a size-1 array, an ndarray subclass) is converted to
+    float and broadcast to *shape*, so a model that ignores its input may
+    return a number.  Everything else is refused: a bool, a string, a
+    complex number, an array of bools, strings, complex numbers or objects,
+    and a list or tuple, whose items ``np.asarray`` would convert without a
+    look (``[1.0, True]`` to ``[1.0, 1.0]``).
     Finiteness is read from the two extremes (:func:`_extremes`), which are
     a NaN if there is one.
 
     Raises
     ------
     ValueError
-        If a scalar call's output is not a real number or a 0-d array (a
-        size-1 array, a list or a string, say), or an array call's output
-        holds bools, strings or bytes, or cannot be converted to float or
+        If the output is none of these, or an array call's output does not
         broadcast to *shape*; the message names the model function, the
         step, the output's type and shape and the expected shape.
     FilterDivergenceError
@@ -333,16 +353,16 @@ def model_output(name: str, value, shape: tuple, k: int):
     """
     try:
         if shape == ():
-            out = value if type(value) is float else float(_numeric(value, 0))
+            out = value if type(value) is float else float(_numeric(value, scalar=True))
             finite = math.isfinite(out)
         else:
             if type(value) is np.ndarray and value.dtype == np.float64 and value.shape == shape:
                 out = value
             else:
-                out = np.broadcast_to(_numeric(value).astype(float, copy=False), shape)
+                out = np.broadcast_to(np.asarray(_numeric(value), dtype=float), shape)
             lo, hi = _extremes(out)
             finite = -math.inf < lo and hi < math.inf
-    except (TypeError, ValueError):
+    except ValueError:
         got = f"{type(value).__name__} of shape {np.asarray(value, dtype=object).shape}"
         raise ValueError(f"model {name} returned {got} at step {k}, expected shape {shape}") from None
     if not finite:
@@ -352,14 +372,13 @@ def model_output(name: str, value, shape: tuple, k: int):
     return out
 
 
-def _numeric(value, ndim=None) -> np.ndarray:
-    """*value* as an array whose dtype is a number's, of *ndim* dimensions
-    if given; ``TypeError`` for a bool, a string or bytes, or an array of
-    them, which ``float`` would take as 1.0 or parse."""
-    a = np.asarray(value)
-    if a.dtype.kind in "bSU" or (ndim is not None and a.ndim != ndim):
-        raise TypeError
-    return a
+def _numeric(value, scalar: bool = False):
+    """*value* as it is if it is an ndarray whose dtype kind is ``i``, ``u``
+    or ``f``, of 0 dimensions if *scalar*, else as a Python float
+    (:func:`~pdefilter.chebyshev.checked_real`, which refuses any array)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf" and not (scalar and value.ndim):
+        return value
+    return checked_real("output", value)
 
 
 def make_branches(posterior, noise, model, k: int, state_points: int) -> Branches:

@@ -389,12 +389,11 @@ def test_criterion_09_resampling_unbiasedness():
 def test_criterion_10_csv_determinism(tmp_path):
     run_flags = [
         "run", "--steps", "10", "--runs", "3", "--particles", "40",
-        "--grid", "60", "--state-quantiles", "8", "--noise-points", "8",
-        "--seed", "9",
+        "--grid", "60", "--state-quantiles", "8", "--seed", "9",
     ]
     traj_flags = [
         "trajectory", "--steps", "8", "--particles", "40", "--grid", "60",
-        "--state-quantiles", "8", "--noise-points", "8", "--seed", "9",
+        "--state-quantiles", "8", "--seed", "9",
     ]
     outs = []
     for tag in ("a", "b"):

@@ -155,7 +155,7 @@ class TestRunExperiment:
     def small_cfg(self, **kw):
         defaults = dict(
             steps=6, runs=3, particles=40, grid_nodes=60,
-            state_quantiles=8, noise_points=8, seed=5,
+            state_quantiles=8, seed=5,
         )
         defaults.update(kw)
         return ExperimentConfig(**defaults)
@@ -215,7 +215,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("steps", 2.5), ("runs", 2.5), ("particles", 2.5), ("noise_points", 2.0), ("seed", 1.5),
+        [("steps", 2.5), ("runs", 2.5), ("particles", 2.5), ("seed", 1.5),
          ("steps", True)],
     )
     def test_non_integer_count_rejected_naming_its_field(self, field, value):
@@ -223,6 +223,11 @@ class TestRunExperiment:
         # ran one step
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             ExperimentConfig(**{field: value})
+
+    def test_noise_points_is_not_a_field(self):
+        # state_quantiles sets the process noise's count too
+        with pytest.raises(TypeError, match="noise_points"):
+            ExperimentConfig(noise_points=8)
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ExperimentConfig(steps=np.int64(2), runs=np.int32(1), seed=np.uint64(3))
@@ -295,7 +300,7 @@ class TestRunTrajectory:
     def test_contiguous_steps_and_estimates(self):
         cfg = ExperimentConfig(
             steps=5, runs=1, particles=30, grid_nodes=60,
-            state_quantiles=8, noise_points=8, seed=7,
+            state_quantiles=8, seed=7,
         )
         records = bench.run_trajectory(cfg)
         assert [r.k for r in records] == [1, 2, 3, 4, 5]
@@ -333,7 +338,7 @@ class TestRunTrajectory:
         )
         cfg = ExperimentConfig(
             steps=4, runs=1, particles=30, grid_nodes=60,
-            state_quantiles=8, noise_points=8, seed=7,
+            state_quantiles=8, seed=7,
         )
         return cfg, model
 

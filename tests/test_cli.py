@@ -14,8 +14,7 @@ DATA = Path(__file__).parent / "data"
 def run_args(out, **overrides):
     args = [
         "run", "--steps", "4", "--runs", "2", "--particles", "30",
-        "--grid", "60", "--state-quantiles", "8", "--noise-points", "8",
-        "--seed", "3", "--out", str(out),
+        "--grid", "60", "--state-quantiles", "8", "--seed", "3", "--out", str(out),
     ]
     for key, value in overrides.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
@@ -51,14 +50,33 @@ class TestRunCommand:
         ).read_bytes()
 
 
+    def test_state_quantiles_sets_both_counts(self, tmp_path):
+        # the rows that "--state-quantiles 8 --noise-points 8" wrote when the
+        # process noise had its own count: 8 x 8 branches
+        out = tmp_path / "rmse.csv"
+        assert cli.main(run_args(out)) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "filter,runs_ok,runs_failed,steps,mean_rmse,std_rmse",
+            "ukf,2,0,4,7.82278,1.60449",
+            "pf,2,0,4,3.10637,1.34858",
+            "pdef,2,0,4,4.70068,2.65425",
+        ]
+        assert (tmp_path / "rmse.csv.runs.csv").read_text().splitlines()[1:] == [
+            "filter,run,status,rmse,note",
+            "ukf,0,ok,8.95733,", "ukf,1,ok,6.68824,",
+            "pf,0,ok,4.05996,", "pf,1,ok,2.15278,",
+            "pdef,0,ok,6.57751,", "pdef,1,ok,2.82384,",
+        ]
+
+
 class TestTrajectoryCommand:
     def test_writes_per_step_rows(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = cli.main(
             [
                 "trajectory", "--steps", "5", "--particles", "30",
-                "--grid", "60", "--state-quantiles", "8",
-                "--noise-points", "8", "--seed", "7", "--out", str(out),
+                "--grid", "60", "--state-quantiles", "8", "--seed", "7",
+                "--out", str(out),
             ]
         )
         assert code == 0
@@ -103,8 +121,19 @@ class TestExitCodes:
         assert err.value.code == 0
         text = capsys.readouterr().out
         for flag in ("--filter", "--steps", "--runs", "--particles", "--grid",
-                     "--state-quantiles", "--noise-points", "--seed", "--out"):
+                     "--state-quantiles", "--seed", "--out"):
             assert flag in text
+
+    @pytest.mark.parametrize("command", ["run", "trajectory"])
+    def test_noise_points_flag_is_unrecognized(self, tmp_path, capsys, command):
+        # --state-quantiles sets the noise points' count too
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--filter", "ukf", "--steps", "1", "--noise-points", "8",
+                      "--out", str(out)])
+        assert err.value.code == 1
+        assert "error: unrecognized arguments: --noise-points 8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -368,13 +368,36 @@ class TestGridDensity:
             dn.GridDensity(wide_grid(8), values)
 
     def test_subnormal_values_are_stored_as_zero(self):
+        # and every value below 2^-900 of the peak, tiny itself included:
+        # its products with the CDF kernel or the eigen-coordinate transform
+        # would be subnormal
         tiny = np.finfo(float).tiny
-        values = np.ones(9)
+        floor = 2.0 ** -900
+        values = np.full(9, floor)
+        values[[0, 2, 5, 7]] = [1.0, floor / 2.0, tiny, 5e-324]
+        density = dn.GridDensity(wide_grid(8), values)
+        np.testing.assert_array_equal(
+            density.values, [1.0, floor, 0.0, floor, floor, 0.0, floor, 0.0, floor]
+        )
+        # where 2^-900 of the peak is below tiny, tiny is the floor
+        values = np.full(9, 2.0 ** -200)
         values[[2, 5, 7]] = [tiny / 2.0, 5e-324, tiny]
         density = dn.GridDensity(wide_grid(8), values)
         assert density.values[2] == 0.0 and density.values[5] == 0.0
         assert density.values[7] == tiny
-        np.testing.assert_array_equal(np.delete(density.values, [2, 5, 7]), 1.0)
+        np.testing.assert_array_equal(np.delete(density.values, [2, 5, 7]), 2.0 ** -200)
+
+    @pytest.mark.parametrize("order", [47, 99, 149])
+    def test_flush_floor_keeps_products_with_every_factor_normal(self, order):
+        # a kept value is at least 2^-900 of the peak; times the smallest
+        # nonzero entry of each factor it stays normal for a peak of 2^-60
+        # or more, which every normalized density on a domain narrower than
+        # 1e18 exceeds
+        grid = SpectralGrid.build(order, Interval(-1.0, 1.0))
+        for factor in (dn._cdf_kernel(order)[0], dn._eigensystem(order).w,
+                       grid.physical_weights):
+            smallest = np.abs(factor[factor != 0.0]).min()
+            assert smallest * dn._FLUSH * 2.0 ** -60 >= np.finfo(float).tiny
 
 
 class TestMollifiedDelta:

@@ -736,11 +736,10 @@ class TestModelOutput:
         [
             np.array([1.0, -2.0, 3.5], dtype=np.float32),
             np.array([1, -2, 3]),
-            [1.0, -2.0, 3.5],
             np.array([1.0, -2.0, 3.5]).view(Tagged),
             np.array([1.0, -2.0, 3.5], dtype=">f8"),
         ],
-        ids=["float32", "int", "list", "subclass", "big-endian"],
+        ids=["float32", "int", "subclass", "big-endian"],
     )
     def test_other_arrays_come_back_as_float64(self, value):
         out = dn.model_output("transition", value, (3,), 1)
@@ -760,8 +759,9 @@ class TestModelOutput:
             ([2.5], r"list of shape \(1,\)"),
             (np.zeros((1, 1)), r"ndarray of shape \(1, 1\)"),
             (None, r"NoneType of shape \(\)"),
+            (np.array(2.5, dtype=object), r"ndarray of shape \(\)"),
         ],
-        ids=["size-1-array", "list", "2-d", "none"],
+        ids=["size-1-array", "list", "2-d", "none", "0-d-object"],
     )
     def test_scalar_call_refuses_other_outputs_naming_them(self, value, got):
         # float() stopped on these with a bare TypeError naming neither the
@@ -787,8 +787,10 @@ class TestModelOutput:
             (True, r"bool of shape \(\)"),
             (np.bool_(False), r"bool of shape \(\)"),
             (np.array(True), r"ndarray of shape \(\)"),
+            (np.array("3.5", dtype=object), r"ndarray of shape \(\)"),
         ],
-        ids=["str", "bytes", "numpy-str", "0-d-str", "bool", "numpy-bool", "0-d-bool"],
+        ids=["str", "bytes", "numpy-str", "0-d-str", "bool", "numpy-bool", "0-d-bool",
+             "0-d-object-str"],
     )
     def test_scalar_call_refuses_strings_and_bools(self, value, got):
         # float() parsed "3.5" and took True as 1.0
@@ -806,11 +808,33 @@ class TestModelOutput:
             ([True, False, True], r"list of shape \(3,\)"),
             (np.array([True, False, True]), r"ndarray of shape \(3,\)"),
             (True, r"bool of shape \(\)"),
+            ([1.0, True, 2.0], r"list of shape \(3,\)"),
+            (np.array([1.0, "2", 3], dtype=object), r"ndarray of shape \(3,\)"),
         ],
-        ids=["str-list", "str-array", "bytes-array", "str", "bool-list", "bool-array", "bool"],
+        ids=["str-list", "str-array", "bytes-array", "str", "bool-list", "bool-array", "bool",
+             "mixed-bool-list", "object-array-with-str"],
     )
     def test_array_call_refuses_strings_and_bools(self, value, got):
         # these became float arrays, the strings parsed and the bools 0 and 1
+        message = f"^model observation returned {got} at step 3, expected shape \\(3,\\)$"
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("observation", value, (3,), 3)
+
+    @pytest.mark.parametrize(
+        "value, got",
+        [
+            ([1.0, -2.0, 3.5], r"list of shape \(3,\)"),
+            ((1.0, -2.0, 3.5), r"tuple of shape \(3,\)"),
+            (np.array([1.0, -2.0, 3.5], dtype=object), r"ndarray of shape \(3,\)"),
+            (np.array([1 + 2j, 3, 4]), r"ndarray of shape \(3,\)"),
+        ],
+        ids=["float-list", "tuple", "object-array", "complex-array"],
+    )
+    def test_array_call_refuses_lists_complex_and_object_arrays(self, value, got):
+        # an array's dtype must be an integer's or a float's: these were
+        # converted, the complex one dropping its imaginary part with a
+        # ComplexWarning; a list is refused whole, since np.asarray would
+        # take a bool among its numbers as 1.0
         message = f"^model observation returned {got} at step 3, expected shape \\(3,\\)$"
         with pytest.raises(ValueError, match=message):
             dn.model_output("observation", value, (3,), 3)

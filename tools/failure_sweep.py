@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     for label, model, nodes, points in SIZES:
         cfg = ExperimentConfig(
             steps=STEPS, runs=args.runs, particles=PARTICLES[label], grid_nodes=nodes,
-            state_quantiles=points, noise_points=points, seed=args.seed,
+            state_quantiles=points, seed=args.seed,
         )
         start = perf_counter()
         reports = run_experiment(cfg, models[model]())

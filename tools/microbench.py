@@ -17,6 +17,10 @@ inputs it times
   bumps (one row per start, folded and unfolded inside ``_transport``);
 - ``_check_escape``, the escape guard alone, on the same array;
 - ``density_quantiles``, the start states of the step;
+- ``quantiles, 1e-306``, the same on the step's posterior with each zero
+  entry set to 1e-306 before ``GridDensity`` sees it: the far tail that
+  ``GridDensity``'s flush stores as 0.0, whose products with the CDF
+  kernel would otherwise be subnormal;
 - one bump build, ``mollified_delta`` on a center it did not see last;
 - one cache hit, ``mollified_delta`` on the center it saw last, timed
   over 100 consecutive hits in a bare loop;
@@ -119,6 +123,9 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
     noise = flt.gaussian_quantile_points(points, model.process_noise.variance)
     state, y_last, branches, grid = step_inputs(model, cfg, noise)
     posterior = state.posterior
+    tail = posterior.values.copy()
+    tail[tail == 0.0] = 1e-306
+    tailed = dn.GridDensity(posterior.grid, tail)
     std = model.process_noise.std
     probs = (2.0 * np.arange(points) + 1.0) / (2.0 * points)
     scale = affine_scale(grid.domain)
@@ -147,6 +154,7 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
         ), 1),
         "_check_escape": (lambda: dn._check_escape(grid, bumps, branches), 1),
         "density_quantiles": (lambda: dn.density_quantiles(posterior, probs), 1),
+        "quantiles, 1e-306": (lambda: dn.density_quantiles(tailed, probs), 1),
         "bump build": (builds, 2),
         "cache hit": (hits, len(HITS)),
     }
