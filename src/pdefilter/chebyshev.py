@@ -232,17 +232,26 @@ def checked_real(name: str, value) -> float:
     A Python float passes on one type test.  Any other ``numbers.Real``
     that is not a bool is converted: an int or a numpy integer or float.  A
     bool, a string, an array and anything else is refused, where ``float()``
-    would take ``True`` as 1.0 and parse ``"0.5"``.
+    would take ``True`` as 1.0 and parse ``"0.5"``.  So is a real number
+    beyond the float range (``10**400``, or a ``Fraction`` of it), on which
+    ``float()`` raises ``OverflowError``.
 
     Raises
     ------
     ValueError
-        Naming *name*, if *value* is not a real number.
+        Naming *name*, if *value* is not a real number; naming *name* and
+        the type of *value*, if it is one beyond the float range.
     """
     if type(value) is float:
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} must be a real number within the float range, "
+                f"got {type(value).__name__} beyond it"
+            ) from None
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 

@@ -220,8 +220,9 @@ def _observed(y_k, k: int) -> float:
 
     A real number is taken (:func:`~pdefilter.chebyshev.checked_real`): a
     Python or numpy integer or float.  A bool, a string, an array of any
-    shape and anything else is refused, as is a NaN or infinite value; each
-    with a ``ValueError`` naming ``y_k`` and step *k*.
+    shape and anything else is refused, as is a number beyond the float
+    range and a NaN or infinite value; each with a ``ValueError`` naming
+    ``y_k`` and step *k*.
     """
     try:
         y = checked_real("observation y_k", y_k)

@@ -1,5 +1,7 @@
 """Collocation machinery: nodes, differentiation, quadrature, interpolation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ class TestAffine:
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             Interval(lo, hi)
 
+    def test_interval_refuses_an_endpoint_beyond_the_float_range(self):
+        # float() stopped on 10**400 with a bare OverflowError
+        message = "^hi must be a real number within the float range, got int beyond it$"
+        with pytest.raises(ValueError, match=message):
+            Interval(0, 10**400)
+
     def test_interval_stores_real_numbers_as_floats(self):
         dom = Interval(np.int64(-2), np.float32(0.5))
         assert dom == Interval(-2.0, 0.5)
@@ -185,6 +193,16 @@ class TestCheckedReal:
     def test_refuses_what_is_not_a_real_number_naming_it(self, value):
         with pytest.raises(ValueError, match=r"^width must be a real number, got "):
             cheb.checked_real("width", value)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), Fraction(10**400)], ids=["int", "negative-int", "Fraction"]
+    )
+    def test_refuses_a_real_number_beyond_the_float_range_naming_its_type(self, value):
+        # float() raised a bare OverflowError naming neither the argument nor the type
+        kind = type(value).__name__
+        message = f"^x must be a real number within the float range, got {kind} beyond it$"
+        with pytest.raises(ValueError, match=message):
+            cheb.checked_real("x", value)
 
 
 class TestSpectralGrid:

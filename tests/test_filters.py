@@ -798,6 +798,13 @@ class TestModelOutput:
         with pytest.raises(ValueError, match=message):
             dn.model_output("transition", value, (), 1)
 
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_output_beyond_the_float_range_is_refused_naming_it(self, shape):
+        # float() stopped on 10**400 with a bare OverflowError
+        message = r"^model transition returned int of shape \(\) at step 2, expected shape "
+        with pytest.raises(ValueError, match=message):
+            dn.model_output("transition", 10**400, shape, 2)
+
     @pytest.mark.parametrize(
         "value, got",
         [
@@ -964,6 +971,13 @@ class TestNonFiniteObservation:
         )
         np.testing.assert_array_equal(got, want)
 
+    def test_observation_beyond_the_float_range_is_refused_naming_its_step(self):
+        # float() stopped on 10**400 with a bare OverflowError
+        model = linear_model()
+        message = "^observation y_k must be a real number within the float range, got int beyond it"
+        with pytest.raises(ValueError, match=message + " at step 1$"):
+            flt.ukf_step(flt.ukf_init(model), model, 1, 10**400)
+
 
 class TestEstimate:
     def test_grid_posterior_mean(self):
@@ -1096,6 +1110,17 @@ class TestValidation:
         # TypeError in math.isfinite
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             spec(mean, variance)
+
+    def test_spec_refuses_a_variance_beyond_the_float_range(self):
+        # float() stopped on 10**400 with a bare OverflowError
+        message = "^variance must be a real number within the float range, got int beyond it$"
+        with pytest.raises(ValueError, match=message):
+            flt.GaussianSpec(0.0, 10**400)
+
+    def test_likelihood_refuses_a_variance_beyond_the_float_range(self):
+        message = "^observation variance must be a real number within the float range, got int "
+        with pytest.raises(ValueError, match=message):
+            flt.gaussian_likelihood(0.0, [0.0], 10**400)
 
     @pytest.mark.parametrize("mean, variance", [(0, 2), (np.float32(0.5), np.int64(3))])
     def test_spec_takes_other_real_numbers(self, mean, variance):

@@ -1,66 +1,63 @@
-"""Typed failures of the three filters over many seeded trajectories.
+"""Attempted and failed filter operations over many seeded trajectories.
 
     PYTHONPATH=src python tools/failure_sweep.py [--runs N] [--seed S]
 
-At each of the three sizes of ``tools/microbench.py`` (grid 100 with 16 x
-16 branches on the growth model, grid 150 with 64 x 64 on the linear model,
-grid 48 with 4 x 4 on the growth model) it steps ukf, pf and pdef through
-the same N trajectories of 50 steps, runs 0 to N - 1 of ``--seed``
-(``pdefilter.bench.run_seed_streams``), with the particle filter at 100,
-100 and 10^4 particles.  Those are the benchmark's settings; the benchmark
-checks accuracy on a few fixed trajectories only, which cannot show a
-change in how often a filter fails.
-
-For each size and filter it prints the runs, the typed failures
+For each workload of ``perfbench/workloads.py`` it steps ukf, pf and pdef
+through trajectories 0 to N - 1 of ``--seed``, 50 steps each, with the
+benchmark's own ``run_trajectory``: the same settings, inputs, output
+checks and accounting as the benchmark's closed loop.  It prints the
+attempted and failed operations per workload, as the benchmark's result
+line counts them, then per filter, then each typed failure
 (``FilterDivergenceError``, ``WeightUnderflowError``,
-``DomainEscapeError``) and the first reasons.  It exits with 1 if any run
-failed; any other exception stops it with a traceback.
+``DomainEscapeError``) with its trajectory.  It exits with 1 if any
+operation failed; a failed output check or any other exception stops it
+with a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 from time import perf_counter
 
-from pdefilter.bench import ExperimentConfig, benchmark_model, run_experiment
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads as W  # noqa: E402
 
-from microbench import SIZES, linear_model
 
-STEPS = 50
-
-# particles of the particle filter at each size of SIZES, as in the benchmark
-PARTICLES = {"grid100-16x16": 100, "grid150-64x64": 100, "grid48-4x4": 10_000}
-
-# failure reasons printed per size and filter
-SHOWN = 3
+def sweep(workload: W.Workload, runs: int, seed: int) -> bool:
+    """Print the counts of one workload; true if any operation failed."""
+    s = W.setting(workload)
+    tally = W.Tally()
+    reasons = []
+    start = perf_counter()
+    for index in range(runs):
+        seen = len(tally.failures)
+        W.run_trajectory(s, W.trajectory_inputs(workload, seed, index, W.STEPS), tally)
+        reasons += [f"trajectory {index}, {reason}" for reason in tally.failures[seen:]]
+    print(
+        f"{workload.name}: attempted {tally.attempted}  failed {tally.failed}  "
+        f"({runs} trajectories of {W.STEPS} steps, seed {seed}, {perf_counter() - start:.1f} s)"
+    )
+    for name in W.FILTERS:
+        failed = sum(reason.startswith(f"{name} step ") for reason in tally.failures)
+        print(f"  {name:<5} attempted {len(tally.step_s[name]) + failed}  failed {failed}")
+    for reason in reasons:
+        print(f"    {reason}")
+    return tally.failed > 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=1000, help="trajectories per size (default 1000)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument(
+        "--runs", type=int, default=1000, help="trajectories per workload (default 1000)"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="benchmark seed (default 0)")
     args = parser.parse_args(argv)
     if args.runs < 1 or args.seed < 0:
         parser.error("--runs must be >= 1 and --seed >= 0")
-    models = {"growth": benchmark_model, "linear": linear_model}
-    failed = 0
-    for label, model, nodes, points in SIZES:
-        cfg = ExperimentConfig(
-            steps=STEPS, runs=args.runs, particles=PARTICLES[label], grid_nodes=nodes,
-            state_quantiles=points, seed=args.seed,
-        )
-        start = perf_counter()
-        reports = run_experiment(cfg, models[model]())
-        print(
-            f"{label}: {model} model, pf {cfg.particles} particles, {args.runs} runs "
-            f"of {STEPS} steps, seed {args.seed} ({perf_counter() - start:.0f} s)"
-        )
-        for report in reports:
-            print(f"  {report.filter_name:<5} runs {args.runs}  failed {report.runs_failed}")
-            for run, reason in report.failures[:SHOWN]:
-                print(f"    run {run} {reason}")
-            failed += report.runs_failed
-    return 1 if failed else 0
+    failed = [sweep(workload, args.runs, args.seed) for workload in W.WORKLOADS.values()]
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":

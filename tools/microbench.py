@@ -1,14 +1,14 @@
 """In-process timings of the density filter's prediction layers, pf_step
-and ukf_step.
+and ukf_step, on the benchmark's workloads.
 
     PYTHONPATH=src python tools/microbench.py [--repeat N] [--json]
 
-At each of the three benchmark sizes (grid 100 with 16 x 16 branches on the
-growth model, grid 150 with 64 x 64 on the linear model, grid 48 with 4 x 4
-on the growth model) one pdef run of ``STEPS`` steps at seed ``SEED`` fixes
-the inputs: the state entering its last step, that step's observation, and
-the branches and grid of that step's ``assemble_prior`` call.  On those
-inputs it times
+For each workload of ``perfbench/workloads.py``, one column each, the three
+filters run trajectory 0 of seed ``SEED`` (``trajectory_inputs``) with the
+workload's model, noise points, ``PdefConfig`` and particle count.  That
+fixes the inputs: each filter's state entering the last step, that step's
+observation, and the branches and grid of that step's ``assemble_prior``
+call.  On those inputs it times
 
 - ``pdef_step``, the whole last step, from the state to the posterior;
 - ``prediction_domain``, the step's grid interval from its branches;
@@ -24,91 +24,70 @@ inputs it times
 - one bump build, ``mollified_delta`` on a center it did not see last;
 - one cache hit, ``mollified_delta`` on the center it saw last, timed
   over 100 consecutive hits in a bare loop;
-
-It also times one ``pf_step`` on the growth model at 100 and 10^4
-particles (``PF_SIZES``), on the cloud a seeded pf run of ``STEPS`` steps
-at seed ``SEED`` holds entering its last step, with that step's
-observation; its draws continue that run's particle generator, which
-advances from call to call.  Beside them it times one ``ukf_step`` on the
-growth model, on the state a seeded ukf run of ``STEPS`` steps at seed
-``SEED`` holds entering its last step, with that step's observation.
+- ``pf_step``, the particle filter's last step on its cloud; its draws
+  continue the trajectory's particle generator, which advances from call
+  to call;
+- ``ukf_step``, the unscented filter's last step.
 
 It prints the best time per call over ``--repeat`` rounds, in
 microseconds.  Each round runs as many calls as fill about 0.2 s.  The
-script imports the package only, so pointing ``PYTHONPATH`` at another
-checkout's ``src`` times that checkout on the same inputs, if its
-``_transport`` has this one's signature: ``(order, bumps, shifts,
-noise_shifts)`` on nodal rows, with every branch equally weighted, its
-``_check_escape`` this one's: ``(grid, bumps, branches)``, its ``pf_step``
-this one's: ``(state, model, k, y_k, rng)``, and its ``ukf_step`` this
-one's: ``(state, model, k, y_k)``.
+script imports the package and ``perfbench/workloads.py`` only, so
+pointing ``PYTHONPATH`` at another checkout's ``src`` times that checkout
+on the same inputs, if its ``_transport`` has this one's signature:
+``(order, bumps, shifts, noise_shifts)`` on nodal rows, with every branch
+equally weighted, its ``_check_escape`` this one's: ``(grid, bumps,
+branches)``, its ``pf_step`` this one's: ``(state, model, k, y_k, rng)``,
+and its ``ukf_step`` this one's: ``(state, model, k, y_k)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import timeit
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from pdefilter import density as dn
 from pdefilter import filters as flt
-from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 from pdefilter.chebyshev import affine_scale
 
-STEPS = 20
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads as W  # noqa: E402
+
 SEED = 1
 
 # consecutive cache hits per timed call, as assemble_prior makes them
 HITS = range(100)
 
-# (label, model, grid nodes, state quantiles = noise points)
-SIZES = (
-    ("grid100-16x16", "growth", 100, 16),
-    ("grid150-64x64", "linear", 150, 64),
-    ("grid48-4x4", "growth", 48, 4),
-)
 
-# (label, particles) of the timed pf_step, on the growth model
-PF_SIZES = (("pf-100", 100), ("pf-10000", 10_000))
-
-
-def linear_model() -> flt.ScalarStateModel:
-    """x_k = 0.9 x_{k-1} + v, y_k = x_k + n, with unit variances."""
-    unit = flt.GaussianSpec(0.0, 1.0)
-    return flt.ScalarStateModel(
-        transition=lambda x, k, v: 0.9 * x + v,
-        observation=lambda x, k: 1.0 * x,
-        process_noise=unit,
-        obs_noise=unit,
-        initial=unit,
-    )
-
-
-def step_inputs(model, cfg, noise):
-    """The state entering the last step of a seeded pdef run, that step's
-    observation, and the branches and grid of its ``assemble_prior``
-    call."""
-    _, observations = simulate_truth(model, STEPS, run_seed_streams(SEED, 0)[0])
+def last_step(s: W.Setting):
+    """Each filter's state entering the last step of the trajectory, that
+    step's observation, the particle filter's generator, and the branches
+    and grid of the step's ``assemble_prior`` call."""
+    inputs = W.trajectory_inputs(s.workload, SEED, 0, W.STEPS)
+    rng = np.random.default_rng(inputs.pf_seed)
+    ukf = flt.ukf_init(s.model)
+    pf = flt.pf_init(s.model, s.workload.particles, rng)
+    pdef = flt.pdef_init(s.model, s.pdef)
+    *head, y_last = inputs.observations.tolist()
+    for k, y in enumerate(head, 1):
+        ukf = flt.ukf_step(ukf, s.model, k, y)
+        pf = flt.pf_step(pf, s.model, k, y, rng)
+        pdef = flt.pdef_step(pdef, s.model, s.noise, k, y, s.pdef)
     calls = []
 
     def recording(branches, grid):
-        prior = dn.assemble_prior(branches, grid)
         calls.append((branches, grid))
-        return prior
+        return dn.assemble_prior(branches, grid)
 
-    original = flt.assemble_prior
-    flt.assemble_prior = recording
-    try:
-        state = flt.pdef_init(model, cfg)
-        for k, y in enumerate(observations.tolist(), 1):
-            last = state
-            state = flt.pdef_step(state, model, noise, k, y, cfg)
-    finally:
-        flt.assemble_prior = original
+    with mock.patch.object(flt, "assemble_prior", recording):
+        flt.pdef_step(pdef, s.model, s.noise, W.STEPS, y_last, s.pdef)
     branches, grid = calls[-1]
-    return last, y, branches, grid
+    return ukf, pf, pdef, y_last, rng, branches, grid
 
 
 def best_us(call, repeat: int) -> float:
@@ -118,19 +97,18 @@ def best_us(call, repeat: int) -> float:
     return 1e6 * min(timer.repeat(repeat, number)) / number
 
 
-def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
-    cfg = flt.PdefConfig(grid_nodes=grid_nodes, state_quantiles=points)
-    noise = flt.gaussian_quantile_points(points, model.process_noise.variance)
-    state, y_last, branches, grid = step_inputs(model, cfg, noise)
-    posterior = state.posterior
+def timings(s: W.Setting, repeat: int) -> dict:
+    model, noise, cfg = s.model, s.noise, s.pdef
+    ukf, pf, pdef, y_last, rng, branches, grid = last_step(s)
+    posterior = pdef.posterior
     tail = posterior.values.copy()
     tail[tail == 0.0] = 1e-306
     tailed = dn.GridDensity(posterior.grid, tail)
-    std = model.process_noise.std
+    points = cfg.state_quantiles
     probs = (2.0 * np.arange(points) + 1.0) / (2.0 * points)
     scale = affine_scale(grid.domain)
     starts = branches.start_state.tolist()
-    bumps = np.array([dn.mollified_delta(grid, s).values for s in starts])
+    bumps = np.array([dn.mollified_delta(grid, x).values for x in starts])
     # two distinct centers taken in turn miss the one-entry cache every call
     a, b = starts[0], (starts[-1] if starts[-1] != starts[0] else starts[0] + 1e-3)
 
@@ -144,10 +122,12 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
         for _ in HITS:
             dn.mollified_delta(grid, a)
 
-    # layer: (timed call, calls of the layer it makes)
-    layers = {
-        "pdef_step": (lambda: flt.pdef_step(state, model, noise, STEPS, y_last, cfg), 1),
-        "prediction_domain": (lambda: dn.prediction_domain(branches, grid.order, std), 1),
+    # row: (timed call, calls of the layer it makes)
+    rows = {
+        "pdef_step": (lambda: flt.pdef_step(pdef, model, noise, W.STEPS, y_last, cfg), 1),
+        "prediction_domain": (
+            lambda: dn.prediction_domain(branches, grid.order, model.process_noise.std), 1
+        ),
         "assemble_prior": (lambda: dn.assemble_prior(branches, grid), 1),
         "_transport": (lambda: dn._transport(
             grid.order, bumps, scale * branches.drift, scale * branches.noise_value
@@ -157,40 +137,10 @@ def size_timings(model, grid_nodes: int, points: int, repeat: int) -> dict:
         "quantiles, 1e-306": (lambda: dn.density_quantiles(tailed, probs), 1),
         "bump build": (builds, 2),
         "cache hit": (hits, len(HITS)),
+        "pf_step": (lambda: flt.pf_step(pf, model, W.STEPS, y_last, rng), 1),
+        "ukf_step": (lambda: flt.ukf_step(ukf, model, W.STEPS, y_last), 1),
     }
-    return {name: best_us(call, repeat) / n for name, (call, n) in layers.items()}
-
-
-def pf_timings(n_particles: int, repeat: int) -> dict:
-    """Best time of one ``pf_step`` on the cloud entering the last step of a
-    seeded pf run, with that step's observation."""
-    model = benchmark_model()
-    truth_rng, rng = run_seed_streams(SEED, 0)
-    _, observations = simulate_truth(model, STEPS, truth_rng)
-    state = flt.pf_init(model, n_particles, rng)
-    for k, y in enumerate(observations[:-1].tolist(), 1):
-        state = flt.pf_step(state, model, k, y, rng)
-    y_last = float(observations[-1])
-    return {"pf_step": best_us(lambda: flt.pf_step(state, model, STEPS, y_last, rng), repeat)}
-
-
-def ukf_timings(repeat: int) -> dict:
-    """Best time of one ``ukf_step`` on the state entering the last step of
-    a seeded ukf run, with that step's observation."""
-    model = benchmark_model()
-    _, observations = simulate_truth(model, STEPS, run_seed_streams(SEED, 0)[0])
-    state = flt.ukf_init(model)
-    for k, y in enumerate(observations[:-1].tolist(), 1):
-        state = flt.ukf_step(state, model, k, y)
-    y_last = float(observations[-1])
-    return {"ukf_step": best_us(lambda: flt.ukf_step(state, model, STEPS, y_last), repeat)}
-
-
-def print_table(results: dict) -> None:
-    names = list(next(iter(results.values())))
-    print(f"{'best us per call':<20}" + "".join(f"{label:>16}" for label in results))
-    for name in names:
-        print(f"{name:<20}" + "".join(f"{r[name]:>16.2f}" for r in results.values()))
+    return {name: best_us(call, repeat) / n for name, (call, n) in rows.items()}
 
 
 def main(argv=None) -> int:
@@ -200,22 +150,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    models = {"growth": benchmark_model, "linear": linear_model}
-    results = {
-        label: size_timings(models[model](), nodes, points, args.repeat)
-        for label, model, nodes, points in SIZES
-    }
-    pf_results = {label: pf_timings(n, args.repeat) for label, n in PF_SIZES}
-    ukf_results = {"ukf": ukf_timings(args.repeat)}
+    results = {name: timings(W.setting(w), args.repeat) for name, w in W.WORKLOADS.items()}
     if args.json:
-        every = {**results, **pf_results, **ukf_results}
-        print(json.dumps({label: {k: round(v, 3) for k, v in r.items()} for label, r in every.items()}))
+        print(json.dumps({w: {k: round(v, 3) for k, v in r.items()} for w, r in results.items()}))
         return 0
-    print_table(results)
-    print()
-    print_table(pf_results)
-    print()
-    print_table(ukf_results)
+    rows = list(next(iter(results.values())))
+    print(f"{'best us per call':<20}" + "".join(f"{name:>16}" for name in results))
+    for row in rows:
+        print(f"{row:<20}" + "".join(f"{r[row]:>16.2f}" for r in results.values()))
     return 0
 
 
