@@ -346,7 +346,10 @@ def model_output(name: str, value, shape: tuple, k: int):
     ValueError
         If the output is none of these, or an array call's output does not
         broadcast to *shape*; the message names the model function, the
-        step, the output's type and shape and the expected shape.
+        step and the output's type and shape, then the expected shape for
+        an integer or float array, or for anything else the reason of
+        :func:`~pdefilter.chebyshev.checked_real` (a number beyond the float
+        range, or not a real number).
     FilterDivergenceError
         If any value is NaN or infinite; the message names the model
         function and the step.
@@ -362,9 +365,17 @@ def model_output(name: str, value, shape: tuple, k: int):
                 out = np.broadcast_to(np.asarray(_numeric(value), dtype=float), shape)
             lo, hi = _extremes(out)
             finite = -math.inf < lo and hi < math.inf
-    except ValueError:
+    except ValueError as err:
         got = f"{type(value).__name__} of shape {np.asarray(value, dtype=object).shape}"
-        raise ValueError(f"model {name} returned {got} at step {k}, expected shape {shape}") from None
+        # an integer or float array is refused for its shape alone; anything
+        # else for checked_real's reason, cut short after 200 characters
+        # (its repr of a list of 10^4 floats ran to 50 KB)
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+            reason = f", expected shape {shape}"
+        else:
+            text = str(err)
+            reason = f": {text}" if len(text) <= 200 else f": {text[:200]} ..."
+        raise ValueError(f"model {name} returned {got} at step {k}{reason}") from None
     if not finite:
         raise FilterDivergenceError(
             f"model {name} returned a non-finite value at step {k}"

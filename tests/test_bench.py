@@ -22,15 +22,16 @@ def tiny_noise_model():
     )
 
 
-def exact_observation_model():
-    # with one particle, a near-exact observation underflows its only weight
-    # at the first step
+def float_range_model():
+    # the observation 1e155 x puts the square of every innovation beyond the
+    # float range, so pf stops at the first step; the unscented filter's
+    # innovation variance overflows with it
     base = bench.benchmark_model()
     return flt.ScalarStateModel(
         transition=base.transition,
-        observation=base.observation,
+        observation=lambda x, k: 1e155 * x,
         process_noise=base.process_noise,
-        obs_noise=flt.GaussianSpec(0.0, 1e-12),
+        obs_noise=base.obs_noise,
         initial=base.initial,
     )
 
@@ -279,8 +280,11 @@ class TestReportAccounting:
 
     def test_failed_run_note_names_its_step_and_error_type(self, tmp_path):
         cfg = ExperimentConfig(filters=("pf",), steps=4, runs=2, particles=1, seed=3)
-        [report] = bench.run_experiment(cfg, model=exact_observation_model())
-        reason = "step 1: WeightUnderflowError: all particle likelihoods underflowed at step 1"
+        [report] = bench.run_experiment(cfg, model=float_range_model())
+        reason = (
+            "step 1: WeightUnderflowError: all particle likelihood exponents are beyond "
+            "the float range at step 1"
+        )
         assert report.failures == [(0, reason), (1, reason)]
         path = tmp_path / "runs.csv"
         bench.write_runs_csv(path, [report], "filter=pf")
@@ -314,17 +318,20 @@ class TestRunTrajectory:
         cfg = ExperimentConfig(
             filters=("ukf", "pf"), steps=4, runs=1, particles=1, seed=3
         )
-        records = bench.run_trajectory(cfg, model=exact_observation_model())
-        reason = "WeightUnderflowError: all particle likelihoods underflowed at step 1"
-        assert records[0].failures == {"pf": reason}
-        assert all(r.estimates["pf"] is None for r in records)
-        assert all(r.estimates["ukf"] is not None for r in records)
+        records = bench.run_trajectory(cfg, model=float_range_model())
+        reasons = {
+            "ukf": "FilterDivergenceError: unscented filter overflowed at step 1",
+            "pf": "WeightUnderflowError: all particle likelihood exponents are beyond the "
+                  "float range at step 1",
+        }
+        assert records[0].failures == reasons
+        assert all(r.estimates == {"ukf": None, "pf": None} for r in records)
         assert all(r.failures == {} for r in records[1:])
         path = tmp_path / "traj.csv"
-        bench.write_trajectory_csv(path, records, "filter=pf")
+        bench.write_trajectory_csv(path, records, "filter=ukf,pf")
         lines = path.read_text().splitlines()
-        assert len(lines) == 2 + cfg.steps + 1
-        assert lines[-1] == f"# failed: pf step 1: {reason}"
+        assert len(lines) == 2 + cfg.steps + 2
+        assert lines[-2:] == [f"# failed: {name} step 1: {reasons[name]}" for name in ("ukf", "pf")]
 
     def nan_at_step_3(self, observation):
         # the transition turns NaN at step 3, the simulated truth with it

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the verdict, the claim rule and the benchmark check."""
+"""tools/bench_pairs.py: the verdict, the claim rule, the failed share and the
+benchmark check."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,24 @@ def test_benchmark_differs_names_each_differing_file(tmp_path):
     assert bench_pairs.benchmark_differs(tmp_path / "parent", tmp_path / "change") == [
         "perfbench/extra.py", "perfbench/run.py", "BENCHMARK.json",
     ]
+
+
+def result_lines(failed, attempted):
+    return [{"failed": failed, "attempted": attempted, "correct": True}]
+
+
+@pytest.mark.parametrize(
+    "parent, change, larger",
+    [
+        # growth-table1 in BENCH_29: equal counts, but the change attempted fewer
+        ((1, 1_536_158), (1, 1_533_692), True),
+        ((1, 1_533_692), (1, 1_536_158), False),
+        ((2, 2_000_000), (1, 1_000_000), False),
+        ((0, 1_536_158), (0, 1_533_692), False),
+    ],
+)
+def test_failed_operations_are_judged_by_share(parent, change, larger):
+    ops = {"parent": bench_pairs.operations(result_lines(*parent)),
+           "change": bench_pairs.operations(result_lines(*change))}
+    assert ops["change"]["failed_share"] == change[0] / change[1]
+    assert bench_pairs.share_larger(ops) is larger

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdefilter import density as dn
@@ -42,9 +42,11 @@ def constant_observation_model():
 
 def pf_step_per_particle(state, model, k, y_k, rng):
     """Reference particle step: one scalar model call per particle, with an
-    explicit per-particle prior weight array of 1/n.
+    explicit per-particle prior weight array of 1/n times the likelihoods.
 
-    Returns the resampled particles, or None where every weight underflows.
+    Where every such weight underflows, the particles are weighted instead
+    by their log-likelihoods, computed one particle at a time and shifted by
+    the largest.  Returns the resampled particles.
     """
     n = state.particles.size
     draws = rng.normal(0.0, model.process_noise.std, n)
@@ -55,9 +57,11 @@ def pf_step_per_particle(state, model, k, y_k, rng):
     weights = np.full(n, 1.0 / n) * flt.gaussian_likelihood(
         y_k, predicted, model.obs_noise.variance
     )
+    if not weights.sum() > 0.0:
+        log_lik = [-0.5 * (y_k - p) * (y_k - p) / model.obs_noise.variance for p in predicted]
+        top = max(log_lik)
+        weights = np.exp(np.array(log_lik) - top)
     total = float(weights.sum())
-    if not total > 0.0:
-        return None
     indices = flt.systematic_resample(weights / total, n, rng.random())
     return moved[indices]
 
@@ -422,15 +426,22 @@ class TestParticleFilter:
         np.testing.assert_allclose(out.particles, 1.0, atol=1e-12)
         assert out.particles.shape == (50,)
 
-    def test_underflow_raises(self):
+    def test_underflowing_likelihoods_resample_by_shifted_weights(self):
+        # every likelihood underflows to 0, which once stopped the step with
+        # WeightUnderflowError; shifted by the largest exponent, the particle
+        # nearest the observation has weight 1, every other one 0
         model = linear_model(r=1e-6)
-        state = flt.PfState(np.zeros(10))
-        with pytest.raises(WeightUnderflowError):
-            flt.pf_step(state, model, 1, 1e9, np.random.default_rng(0))
+        state = flt.PfState(np.linspace(-1.0, 1.0, 10))
+        moved = 0.9 * state.particles + np.random.default_rng(0).normal(0.0, 1.0, 10)
+        assert not flt.gaussian_likelihood(1e9, moved, 1e-6).any()
+        out = flt.pf_step(state, model, 1, 1e9, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.particles, np.full(10, moved.max()))
+        assert math.isfinite(flt.estimate(out))
 
     def test_overflowing_innovation_underflows_every_weight(self):
-        # every innovation is beyond the range of its square: the likelihoods
-        # are 0, a weight underflow, where a RuntimeWarning once stopped the step
+        # every innovation is beyond the range of its square, so every
+        # exponent is -inf and no weight can be told from another: a weight
+        # underflow, where a RuntimeWarning once stopped the step
         model = flt.ScalarStateModel(
             transition=lambda x, k, v: x + v,
             observation=lambda x, k: 1e155 * x,
@@ -466,14 +477,12 @@ class TestParticleFilter:
         k=st.integers(1, 50),
         seed=st.integers(0, 2**32 - 1),
     )
+    # every weight of the reference underflows: its shifted log-weights
+    @example(a=0.9, c=1.0, q=1.0, r=0.01, y=20.0, n=5, k=1, seed=0)
     def test_equals_per_particle_reference_on_linear_models(self, a, c, q, r, y, n, k, seed):
         model = linear_model(a=a, c=c, q=q, r=r)
         state = flt.pf_init(model, n, np.random.default_rng(seed))
         expected = pf_step_per_particle(state, model, k, y, np.random.default_rng(seed + 1))
-        if expected is None:
-            with pytest.raises(WeightUnderflowError):
-                flt.pf_step(state, model, k, y, np.random.default_rng(seed + 1))
-            return
         got = flt.pf_step(state, model, k, y, np.random.default_rng(seed + 1))
         np.testing.assert_array_equal(got.particles, expected)
 
@@ -753,21 +762,22 @@ class TestModelOutput:
         np.testing.assert_array_equal(out, np.full(4, float(np.asarray(value).item())))
 
     @pytest.mark.parametrize(
-        "value, got",
+        "value, got, reason",
         [
-            (np.array([2.5]), r"ndarray of shape \(1,\)"),
-            ([2.5], r"list of shape \(1,\)"),
-            (np.zeros((1, 1)), r"ndarray of shape \(1, 1\)"),
-            (None, r"NoneType of shape \(\)"),
-            (np.array(2.5, dtype=object), r"ndarray of shape \(\)"),
+            (np.array([2.5]), r"ndarray of shape \(1,\)", r", expected shape \(\)$"),
+            ([2.5], r"list of shape \(1,\)", r": output must be a real number, got \[2.5\]$"),
+            (np.zeros((1, 1)), r"ndarray of shape \(1, 1\)", r", expected shape \(\)$"),
+            (None, r"NoneType of shape \(\)", r": output must be a real number, got None$"),
+            (np.array(2.5, dtype=object), r"ndarray of shape \(\)",
+             r": output must be a real number, got array\(2.5, dtype=object\)$"),
         ],
         ids=["size-1-array", "list", "2-d", "none", "0-d-object"],
     )
-    def test_scalar_call_refuses_other_outputs_naming_them(self, value, got):
+    def test_scalar_call_refuses_other_outputs_naming_them(self, value, got, reason):
         # float() stopped on these with a bare TypeError naming neither the
-        # model function nor the step
-        message = f"^model transition returned {got} at step 6, expected shape \\(\\)$"
-        with pytest.raises(ValueError, match=message):
+        # model function nor the step; an integer or float array is refused
+        # for its shape, anything else for checked_real's reason
+        with pytest.raises(ValueError, match=f"^model transition returned {got} at step 6{reason}"):
             dn.model_output("transition", value, (), 6)
 
     @pytest.mark.parametrize(
@@ -794,16 +804,39 @@ class TestModelOutput:
     )
     def test_scalar_call_refuses_strings_and_bools(self, value, got):
         # float() parsed "3.5" and took True as 1.0
-        message = f"^model transition returned {got} at step 1, expected shape \\(\\)$"
+        message = f"^model transition returned {got} at step 1: output must be a real number, got "
         with pytest.raises(ValueError, match=message):
             dn.model_output("transition", value, (), 1)
 
     @pytest.mark.parametrize("shape", [(), (3,)])
     def test_output_beyond_the_float_range_is_refused_naming_it(self, shape):
         # float() stopped on 10**400 with a bare OverflowError
-        message = r"^model transition returned int of shape \(\) at step 2, expected shape "
+        message = r"^model transition returned int of shape \(\) at step 2: output must be a "
         with pytest.raises(ValueError, match=message):
             dn.model_output("transition", 10**400, shape, 2)
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (10**400, "output must be a real number within the float range, got int beyond it"),
+            ("3.5", "output must be a real number, got '3.5'"),
+        ],
+        ids=["beyond-float-range", "str"],
+    )
+    def test_scalar_call_names_checked_reals_reason(self, value, reason):
+        # these read "expected shape ()", a shape the output already had
+        got = type(value).__name__
+        with pytest.raises(ValueError) as raised:
+            dn.model_output("transition", value, (), 2)
+        assert str(raised.value) == f"model transition returned {got} of shape () at step 2: {reason}"
+
+    def test_refusal_of_a_long_list_is_cut_short(self):
+        value = [0.5] * 10_000
+        with pytest.raises(ValueError) as raised:
+            dn.model_output("observation", value, (10_000,), 3)
+        prefix = "model observation returned list of shape (10000,) at step 3: "
+        reason = f"output must be a real number, got {value!r}"[:200]
+        assert str(raised.value) == f"{prefix}{reason} ..."
 
     @pytest.mark.parametrize(
         "value, got",
@@ -823,7 +856,7 @@ class TestModelOutput:
     )
     def test_array_call_refuses_strings_and_bools(self, value, got):
         # these became float arrays, the strings parsed and the bools 0 and 1
-        message = f"^model observation returned {got} at step 3, expected shape \\(3,\\)$"
+        message = f"^model observation returned {got} at step 3: output must be a real number, got "
         with pytest.raises(ValueError, match=message):
             dn.model_output("observation", value, (3,), 3)
 
@@ -842,22 +875,24 @@ class TestModelOutput:
         # converted, the complex one dropping its imaginary part with a
         # ComplexWarning; a list is refused whole, since np.asarray would
         # take a bool among its numbers as 1.0
-        message = f"^model observation returned {got} at step 3, expected shape \\(3,\\)$"
+        message = f"^model observation returned {got} at step 3: output must be a real number, got "
         with pytest.raises(ValueError, match=message):
             dn.model_output("observation", value, (3,), 3)
 
     @pytest.mark.parametrize(
-        "value, got",
+        "value, got, reason",
         [
-            (np.zeros(4), r"ndarray of shape \(4,\)"),
-            ([1.0, 2.0], r"list of shape \(2,\)"),
-            (np.zeros((2, 3)), r"ndarray of shape \(2, 3\)"),
+            (np.zeros(4), r"ndarray of shape \(4,\)", r", expected shape \(3,\)$"),
+            # a list is refused as a list before its shape is looked at
+            ([1.0, 2.0], r"list of shape \(2,\)",
+             r": output must be a real number, got \[1.0, 2.0\]$"),
+            (np.zeros((2, 3)), r"ndarray of shape \(2, 3\)", r", expected shape \(3,\)$"),
         ],
         ids=["longer", "shorter-list", "2-d"],
     )
-    def test_array_call_refuses_an_output_that_does_not_broadcast(self, value, got):
+    def test_array_call_refuses_an_output_that_does_not_broadcast(self, value, got, reason):
         # numpy's broadcast error named neither the model function nor the step
-        message = f"^model observation returned {got} at step 2, expected shape \\(3,\\)$"
+        message = f"^model observation returned {got} at step 2{reason}"
         with pytest.raises(ValueError, match=message):
             dn.model_output("observation", value, (3,), 2)
 

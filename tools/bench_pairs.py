@@ -25,10 +25,13 @@ for neither side), and a verdict against the metric's bound:
 - ``within bound`` otherwise.
 
 For each workload and side it records the failed and attempted operations
-of the runs' result lines.  ``--claim`` names a gain to judge: it is met
-when the change wins at least nine tenths of the pairs and the medians
-differ, in the better direction, by more than the parent's interquartile
-range.  The JSON report goes to ``--out`` or to standard output; a run that
+of the runs' result lines and the failed share, failed over attempted, and
+it prints each workload where the change's share is larger than the
+parent's.  ``--claim`` names a gain to judge: it is met when the change
+wins at least nine tenths of the pairs, the medians differ, in the better
+direction, by more than the parent's interquartile range, and the
+change's failed share on that workload is no larger than the parent's.
+The JSON report goes to ``--out`` or to standard output; a run that
 exits with an error stops the tool with exit code 2 and its standard error.
 It uses the standard library only.
 """
@@ -173,6 +176,26 @@ def gain_met(figures: dict) -> bool:
     return won and gap > figures["parent_iqr"]
 
 
+def operations(runs: list) -> dict:
+    """Failed and attempted operations over one side's result lines, and
+    the failed share."""
+    failed = sum(r["failed"] for r in runs)
+    attempted = sum(r["attempted"] for r in runs)
+    return {
+        "failed": failed,
+        "attempted": attempted,
+        "failed_share": failed / attempted,
+        "correct_all": all(r["correct"] for r in runs),
+    }
+
+
+def share_larger(ops: dict) -> bool:
+    """Whether the change failed a larger share of its operations than the
+    parent, compared exactly on the integer counts."""
+    parent, change = ops["parent"], ops["change"]
+    return change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="the parent commit, any git revision")
@@ -242,21 +265,15 @@ def main(argv=None) -> int:
             figures[name] = judge(metric, parent, change)
         report["end_to_end"][workload] = figures
         report["operations"][workload] = {
-            side: {
-                "failed": sum(r["failed"] for r in runs),
-                "attempted": sum(r["attempted"] for r in runs),
-                "correct_all": all(r["correct"] for r in runs),
-            }
-            for side, runs in sides_runs.items()
+            side: operations(runs) for side, runs in sides_runs.items()
         }
     if claim is not None:
         workload, name = claim
-        ops = report["operations"][workload]
         report["claim"] = {
             "workload": workload,
             "metric": name,
             "met": gain_met(report["end_to_end"][workload][name])
-            and ops["change"]["failed"] <= ops["parent"]["failed"],
+            and not share_larger(report["operations"][workload]),
         }
     text = json.dumps(report, indent=1)
     if args.out:
@@ -268,6 +285,11 @@ def main(argv=None) -> int:
             print(f"{workload:<14} {name:<17} {f['parent']['median']:.6g} -> "
                   f"{f['change']['median']:.6g} ({f['median_change']}, won "
                   f"{f['change_won_pairs']}/{f['pairs']}): {f['verdict']}", file=sys.stderr)
+    for workload, ops in report["operations"].items():
+        if share_larger(ops):
+            p, c = ops["parent"], ops["change"]
+            print(f"{workload:<14} failed share larger: {p['failed']} of {p['attempted']} -> "
+                  f"{c['failed']} of {c['attempted']}", file=sys.stderr)
     return 0
 
 
