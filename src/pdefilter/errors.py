@@ -31,4 +31,5 @@ class FilterDivergenceError(RuntimeError):
 
 
 class WeightUnderflowError(RuntimeError):
-    """Raised when every particle likelihood underflows to zero."""
+    """Raised when every particle's log-likelihood exponent is beyond the
+    float range (``-inf``), so no weight can be told from another."""
