@@ -254,17 +254,27 @@ def mollified_delta(grid: SpectralGrid, center: float) -> GridDensity:
         return cached
     # the width checks the center first, so a NaN is refused, never cached
     center = checked_real("center", center)
-    sigma = mollification_sigma(grid, center)
-    # exp(-0.5 ((x - center) / sigma)^2), built in one array
+    bump = _gaussian(grid, center, mollification_sigma(grid, center))
+    _last_bump = (grid, center, bump)
+    return bump
+
+
+def _gaussian(grid: SpectralGrid, center: float, sigma: float) -> GridDensity:
+    """The Gaussian of mean *center* and standard deviation *sigma* at the
+    grid's nodes, divided by its quadrature: :func:`mollified_delta`'s bump
+    and the density filter's initial density.
+
+    ``exp(-0.5 ((x - center) / sigma)^2)`` is built in one array and
+    divided by its quadrature in place of :func:`normalize`: the nodes
+    next to the center carry values near 1, so the mass is never near
+    that function's divergence floor."""
     values = grid.nodes - center
     values /= sigma
     values *= values
     values *= -0.5
     np.exp(values, out=values)
     values /= grid.physical_weights @ values
-    bump = GridDensity(grid, values)
-    _last_bump = (grid, center, bump)
-    return bump
+    return GridDensity(grid, values)
 
 
 def mollification_sigma(grid: SpectralGrid, center: float) -> float:

@@ -70,31 +70,34 @@ def grid_bayes_filter(observations, f, h, q, r, m0, p0, nodes, half_width):
 
     Model: x_k = f(x_{k-1}, k) + v, y_k = h(x_k) + w, v ~ N(0, q),
     w ~ N(0, r), x_0 ~ N(m0, p0); valid for additive Gaussian noise only.
-    The density lives on ``nodes`` equispaced points over
-    [-half_width, half_width]; prediction is the direct Chapman-Kolmogorov
-    sum with the Gaussian transition kernel, the update a pointwise
-    multiplication by the likelihood (Bucy & Senne, Automatica 1971).
-    ``f`` and ``h`` must accept arrays.  Returns per-step posterior means
-    and variances.
+    The posterior is a probability per node of ``nodes`` equispaced points
+    over [-half_width, half_width], the initial one the prior's density
+    times the node spacing dx; prediction is the direct Chapman-Kolmogorov
+    sum with the Gaussian transition kernel, which gives the predictive
+    density at the nodes, the update a pointwise multiplication by the
+    Gaussian likelihood (Bucy & Senne, Automatica 1971).  The evidence
+    ``p(y_k | y_1:k-1)`` is dx times the sum of predictive density times
+    likelihood, and dividing by it normalizes the posterior.  ``f`` and
+    ``h`` must accept arrays.  Returns per-step posterior means, variances
+    and log-evidences.
     """
     x = np.linspace(-half_width, half_width, nodes)
-    density = gaussian_pdf(x, m0, p0)
-    means, variances = [], []
+    dx = x[1] - x[0]
+    posterior = gaussian_pdf(x, m0, p0) * dx
+    means, variances, log_evidence = [], [], []
     for k, y in enumerate(observations, start=1):
         moved = np.asarray(f(x, k), dtype=float)
-        kernel = gaussian_pdf(x[:, None], moved[None, :], q)
-        density = kernel @ density
-        misfit = (y - np.asarray(h(x), dtype=float)) ** 2
-        # likelihood scaled to peak 1: the normalization below absorbs it
-        density = density * np.exp(-0.5 * (misfit - misfit.min()) / r)
-        mass = density.sum()
-        if not mass > 0.0:
+        predictive = gaussian_pdf(x[:, None], moved[None, :], q) @ posterior
+        joint = predictive * gaussian_pdf(y, np.asarray(h(x), dtype=float), r) * dx
+        evidence = joint.sum()
+        if not evidence > 0.0:
             raise RuntimeError(f"posterior mass vanished at step {k}")
-        density = density / mass
-        m = x @ density
+        posterior = joint / evidence
+        m = x @ posterior
         means.append(m)
-        variances.append((x - m) ** 2 @ density)
-    return np.asarray(means), np.asarray(variances)
+        variances.append((x - m) ** 2 @ posterior)
+        log_evidence.append(math.log(evidence))
+    return np.asarray(means), np.asarray(variances), np.asarray(log_evidence)
 
 
 def gaussian_pdf(x, mean, variance):

@@ -115,7 +115,7 @@ def test_criterion_02_fig2_qualitative():
     failed, rows = [], []
     for seed in (1, 2, 3, 4, 5):
         records = run_trajectory(ExperimentConfig(steps=50, runs=1, seed=seed))
-        exact, _ = grid_bayes_filter(
+        exact, _, _ = grid_bayes_filter(
             [r.observation for r in records],
             lambda x, k: model.transition(x, k, 0.0),
             lambda x: model.observation(x, 0),

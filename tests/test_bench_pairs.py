@@ -1,7 +1,14 @@
-"""tools/bench_pairs.py: the verdict, the claim rule, the failed share and the
-benchmark check."""
+"""tools/bench_pairs.py: the verdict, the claim rule, the failed share, the
+pair ratios, the benchmark check and the exit on SIGTERM."""
 
+import fcntl
 import importlib.util
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,3 +99,91 @@ def test_failed_operations_are_judged_by_share(parent, change, larger):
            "change": bench_pairs.operations(result_lines(*change))}
     assert ops["change"]["failed_share"] == change[0] / change[1]
     assert bench_pairs.share_larger(ops) is larger
+
+
+def test_pair_ratios_are_reported_and_judge_nothing():
+    parent = [1.0, 2.0, 4.0, 5.0, 10.0]
+    change = [1.1, 2.0, 3.0, 6.0, 10.0]
+    figures = bench_pairs.judge(LOWER, parent, change)
+    assert figures["pair_ratios"] == pytest.approx([1.1, 1.0, 0.75, 1.2, 1.0])
+    assert figures["pair_ratio"] == pytest.approx({"median": 1.0, "q1": 1.0, "q3": 1.1})
+    # the same runs paired otherwise give other ratios and the same verdict
+    repaired = bench_pairs.judge(LOWER, parent, change[::-1])
+    assert repaired["pair_ratios"] == pytest.approx([10.0, 3.0, 0.75, 0.4, 0.11])
+    assert repaired["verdict"] == figures["verdict"] == "unresolved"
+
+
+def test_one_pair_has_one_ratio():
+    figures = bench_pairs.judge(HIGHER, [4.0], [5.0])
+    assert figures["pair_ratios"] == [1.25]
+    assert figures["pair_ratio"] == {"median": 1.25, "q1": 1.25, "q3": 1.25}
+
+
+# a benchmark run that records its pid, holds a lock while it lives and
+# sleeps far longer than the test waits
+STAND_IN_RUN = """\
+import fcntl, os, time
+lock = open(os.environ["STAND_IN_LOCK"], "w")
+fcntl.flock(lock, fcntl.LOCK_EX)
+pid_file = os.environ["STAND_IN_PID"]
+with open(pid_file + ".tmp", "w") as f:
+    f.write(str(os.getpid()))
+os.replace(pid_file + ".tmp", pid_file)
+time.sleep(60)
+"""
+
+
+def child_alive(lock_path) -> bool:
+    """Whether the stand-in run still holds its lock, which its exit releases."""
+    with open(lock_path, "w") as f:
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+        fcntl.flock(f, fcntl.LOCK_UN)
+        return False
+
+
+def test_sigterm_kills_the_run_and_removes_the_directory(tmp_path):
+    checkout, tmp = tmp_path / "checkout", tmp_path / "tmp"
+    (checkout / "tools").mkdir(parents=True)
+    (checkout / "src").mkdir()
+    (checkout / "perfbench").mkdir()
+    tmp.mkdir()
+    shutil.copy(TOOL, checkout / "tools" / "bench_pairs.py")
+    (checkout / "src" / "stand_in.py").write_text("")
+    (checkout / "perfbench" / "run.py").write_text(STAND_IN_RUN)
+    (checkout / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}'
+    )
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "-c",
+           "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stand-in"]):
+        subprocess.run(git + args, cwd=checkout, check=True, capture_output=True)
+    pid_file, lock = tmp_path / "run.pid", tmp_path / "run.lock"
+    env = dict(os.environ, TMPDIR=str(tmp), STAND_IN_PID=str(pid_file), STAND_IN_LOCK=str(lock))
+    tool = subprocess.Popen(
+        [sys.executable, "tools/bench_pairs.py", "--ref", "HEAD", "--pairs", "1"],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pid = None
+    try:
+        deadline = time.monotonic() + 30.0
+        while not pid_file.exists():
+            assert tool.poll() is None, f"the tool exited with {tool.returncode} before its run"
+            assert time.monotonic() < deadline, "the stand-in run never started"
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        assert child_alive(lock)
+        assert list(tmp.glob("bench_pairs_*"))
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not child_alive(lock)
+        assert not list(tmp.glob("bench_pairs_*"))
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        # the lock tells a live run from a pid that may have been reused
+        if pid is not None and child_alive(lock):
+            os.kill(pid, signal.SIGKILL)

@@ -7,9 +7,19 @@ the truth cannot stand in for it: on the growth model it is mostly the
 Bayes error itself, and it moves by 3-5% when the gap grows by half or
 triples.
 
-``tests/data/exact_means_seed1_steps50.csv`` holds the exact means of the
-ten Table-1 runs the gap is pinned on (truth from ``run_seed_streams(1, r)``,
-r = 0-9, 50 steps).  Regenerate it with
+A run's evidence error is the sum over its steps of pdef's log-evidence
+``log p(y_k | y_1:k-1)`` less the exact one.  pdef's is the log of the
+quadrature of the prior times the likelihood that ``pdef_step`` hands to
+``posterior_update``; the exact one comes from the same point-mass filter.
+The log predictive density is a strictly proper score (Gneiting & Raftery,
+JASA 2007): it sees a single step that gives the observation a tiny share
+of its exact predictive density, which the gap averages away.
+
+``tests/data/exact_means_seed1_steps50.csv`` and
+``tests/data/exact_log_evidence_seed1_steps50.csv`` hold the exact means and
+log-evidences of the ten Table-1 runs the gap and the evidence error are
+pinned on (truth from ``run_seed_streams(1, r)``, r = 0-9, 50 steps).
+Regenerate both with
 
     PYTHONPATH=src:tests python tests/test_exact_posterior.py
 
@@ -23,6 +33,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +42,11 @@ from pdefilter.bench import benchmark_model, run_seed_streams, simulate_truth
 
 from _oracles import grid_bayes_filter
 
-EXACT_MEANS = Path(__file__).resolve().parent / "data" / "exact_means_seed1_steps50.csv"
+DATA = Path(__file__).resolve().parent / "data"
+EXACT = {
+    "exact_mean": DATA / "exact_means_seed1_steps50.csv",
+    "exact_log_evidence": DATA / "exact_log_evidence_seed1_steps50.csv",
+}
 SEED, RUNS, STEPS = 1, 10, 50
 
 # the gap of pdef at the Table-1 setting (grid 100, 16 x 16 branches) over
@@ -39,6 +54,14 @@ SEED, RUNS, STEPS = 1, 10, 50
 # give 0.329 with 4 noise points, 0.392 with 8 state quantiles and 0.654 with
 # a 60-node grid, while their RMSE moves only from 4.274 to 4.42-4.49
 TABLE1_GAP_BOUND = 0.25
+
+# a run's evidence error |sum of pdef's log-evidence less the exact one|, in
+# nats, over the same ten runs: mean 1.584, largest 10.258 (run 9, whose
+# step 6 alone reads -7.08: the quantized noise cuts the prior's tails
+# there).  Mutations give mean / largest 6.24 / 19.9 with 4 noise points,
+# 3.76 / 14.6 with 8, 3.98 / 25.5 with 8 state quantiles and 2.47 / 5.19
+# with a 60-node grid; 32 x 32 branches give 1.10 / 4.53
+TABLE1_EVIDENCE_BOUND = {"mean": 2.0, "largest": 12.0}
 
 
 # the family's gap bound by region.  A member's likelihood in x is about
@@ -53,9 +76,10 @@ SHARPNESS_SPLIT = 10.0
 FAMILY_GAP_BOUND = {"benchmark-like": 3.0, "sharp": 12.0}
 
 
-def exact_means(model, observations, nodes=1001):
-    """The exact posterior means of one run, from the point-mass filter."""
-    means, _ = grid_bayes_filter(
+def exact_posterior(model, observations, nodes=1001):
+    """The exact posterior means and log-evidences of one run, from the
+    point-mass filter."""
+    means, _, log_evidence = grid_bayes_filter(
         observations,
         lambda x, k: model.transition(x, k, 0.0),
         lambda x: model.observation(x, 0),
@@ -66,17 +90,28 @@ def exact_means(model, observations, nodes=1001):
         nodes=nodes,
         half_width=50.0,
     )
-    return means
+    return means, log_evidence
 
 
-def pdef_means(model, observations, cfg, noise_points):
+def pdef_run(model, observations, cfg, noise_points):
+    """pdef's estimates and log-evidences over one run.  The evidence is
+    read by wrapping ``posterior_update``, which ``pdef_step`` hands the
+    prior and the likelihood at the prior's nodes."""
     noise = flt.gaussian_quantile_points(noise_points, model.process_noise.variance)
     state = flt.pdef_init(model, cfg)
-    means = []
-    for k, y in enumerate(observations.tolist(), 1):
-        state = flt.pdef_step(state, model, noise, k, y, cfg)
-        means.append(flt.estimate(state))
-    return np.array(means)
+    means, log_evidence = [], []
+    update = flt.posterior_update
+
+    def read_evidence(prior, likelihood):
+        log_evidence.append(math.log(prior.grid.physical_weights @ (prior.values * likelihood)))
+        return update(prior, likelihood)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flt, "posterior_update", read_evidence)
+        for k, y in enumerate(observations.tolist(), 1):
+            state = flt.pdef_step(state, model, noise, k, y, cfg)
+            means.append(flt.estimate(state))
+    return np.array(means), np.array(log_evidence)
 
 
 def table1_observations(run):
@@ -84,45 +119,75 @@ def table1_observations(run):
     return observations
 
 
-def read_exact_means():
-    """The stored exact means, one row of STEPS per run."""
-    with EXACT_MEANS.open(newline="") as f:
+def read_exact(column):
+    """The stored exact means or log-evidences, one row of STEPS per run."""
+    with EXACT[column].open(newline="") as f:
         rows = list(csv.DictReader(f))
-    means = np.full((RUNS, STEPS), np.nan)
+    values = np.full((RUNS, STEPS), np.nan)
     for row in rows:
-        means[int(row["run"]), int(row["k"]) - 1] = float(row["exact_mean"])
-    assert not np.isnan(means).any()
-    return means
+        values[int(row["run"]), int(row["k"]) - 1] = float(row[column])
+    assert not np.isnan(values).any()
+    return values
 
 
-def write_exact_means():
+def write_exact():
     model = benchmark_model()
-    with EXACT_MEANS.open("w", newline="") as f:
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(["run", "k", "exact_mean"])
-        for run in range(RUNS):
-            for k, m in enumerate(exact_means(model, table1_observations(run)).tolist(), 1):
-                out.writerow([run, k, repr(m)])
+    runs = [exact_posterior(model, table1_observations(run)) for run in range(RUNS)]
+    for i, (column, path) in enumerate(EXACT.items()):
+        with path.open("w", newline="") as f:
+            out = csv.writer(f, lineterminator="\n")
+            out.writerow(["run", "k", column])
+            for run, figures in enumerate(runs):
+                for k, value in enumerate(figures[i].tolist(), 1):
+                    out.writerow([run, k, repr(value)])
 
 
-def test_stored_exact_means_regenerate():
-    # run 0 only: each run costs about 0.4 s; the means agree with a
-    # 2001-node oracle to 4.3e-9, so BLAS rounding stays far inside 1e-9
-    got = exact_means(benchmark_model(), table1_observations(0))
-    np.testing.assert_allclose(got, read_exact_means()[0], rtol=0.0, atol=1e-9)
+@pytest.fixture(scope="module")
+def exact_run0():
+    # run 0 only: each run costs about 0.4 s
+    return exact_posterior(benchmark_model(), table1_observations(0))
 
 
-def test_table1_gap_is_pinned():
+def test_stored_exact_means_regenerate(exact_run0):
+    # the means agree with a 2001-node oracle to 4.3e-9, so BLAS rounding
+    # stays far inside 1e-9
+    np.testing.assert_allclose(exact_run0[0], read_exact("exact_mean")[0], rtol=0.0, atol=1e-9)
+
+
+def test_stored_exact_log_evidence_regenerates(exact_run0):
+    np.testing.assert_allclose(
+        exact_run0[1], read_exact("exact_log_evidence")[0], rtol=0.0, atol=1e-9
+    )
+
+
+@pytest.fixture(scope="module")
+def table1_runs():
+    """pdef's estimates and log-evidences on the ten stored runs at the
+    Table-1 setting (grid 100, 16 x 16 branches)."""
     model = benchmark_model()
     cfg = flt.PdefConfig(grid_nodes=100, state_quantiles=16)
-    exact = read_exact_means()
-    gaps = [
-        np.mean(np.abs(pdef_means(model, table1_observations(run), cfg, 16) - exact[run]))
-        for run in range(RUNS)
-    ]
+    return [pdef_run(model, table1_observations(run), cfg, 16) for run in range(RUNS)]
+
+
+def test_table1_gap_is_pinned(table1_runs):
+    exact = read_exact("exact_mean")
+    gaps = [np.mean(np.abs(means - exact[run])) for run, (means, _) in enumerate(table1_runs)]
     gap = float(np.mean(gaps))
     print(f"\npdef gap at the Table-1 setting: {gap:.4f} (bound {TABLE1_GAP_BOUND})")
     assert gap <= TABLE1_GAP_BOUND
+
+
+def test_table1_evidence_error_is_pinned(table1_runs):
+    exact = read_exact("exact_log_evidence")
+    errors = np.array([
+        abs(float(np.sum(log_evidence - exact[run])))
+        for run, (_, log_evidence) in enumerate(table1_runs)
+    ])
+    print(f"\npdef evidence error at the Table-1 setting: mean {errors.mean():.2f}, "
+          f"largest {errors.max():.2f} nats (bounds {TABLE1_EVIDENCE_BOUND['mean']} "
+          f"and {TABLE1_EVIDENCE_BOUND['largest']})")
+    assert errors.mean() <= TABLE1_EVIDENCE_BOUND["mean"]
+    assert errors.max() <= TABLE1_EVIDENCE_BOUND["largest"]
 
 
 def family_model(a, b, c, q, r, d):
@@ -162,8 +227,8 @@ def test_family_member_tracks_the_exact_posterior(member, seed):
     model = family_model(*member)
     _, observations = simulate_truth(model, 20, run_seed_streams(seed, 0)[0])
     cfg = flt.PdefConfig(grid_nodes=100, state_quantiles=16)
-    estimates = pdef_means(model, observations, cfg, 16)
-    gap = float(np.mean(np.abs(estimates - exact_means(model, observations))))
+    estimates, _ = pdef_run(model, observations, cfg, 16)
+    gap = float(np.mean(np.abs(estimates - exact_posterior(model, observations)[0])))
     _, _, _, _, r, d = member
     region = "benchmark-like" if math.sqrt(r) * d >= SHARPNESS_SPLIT else "sharp"
     assert gap <= FAMILY_GAP_BOUND[region], (member, seed, region, gap)
@@ -175,10 +240,10 @@ def test_oracle_is_converged_on_a_steep_sensor():
     # 8.8e-9 at seed 0 (at most 2.3e-8 over the family's sharpest members)
     model = family_model(0.5, 25.0, 8.0, 10.0, 1.0, 5.0)
     _, observations = simulate_truth(model, 20, run_seed_streams(0, 0)[0])
-    coarse = exact_means(model, observations)
-    fine = exact_means(model, observations, nodes=2001)
+    coarse, _ = exact_posterior(model, observations)
+    fine, _ = exact_posterior(model, observations, nodes=2001)
     np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-6)
 
 
 if __name__ == "__main__":
-    write_exact_means()
+    write_exact()

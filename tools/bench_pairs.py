@@ -14,8 +14,9 @@ Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 on both sides for every workload of ``BENCHMARK.json``, with S the first
 seed plus i; the parent goes first in even pairs and the change in odd
 ones.  For each workload and end-to-end metric it records both sides'
-runs, medians and inclusive quartiles, the pairs the change won (ties count
-for neither side), and a verdict against the metric's bound:
+runs, medians and inclusive quartiles, the per-pair ratios change/parent
+with their median and inclusive quartiles, the pairs the change won (ties
+count for neither side), and a verdict against the metric's bound:
 
 - ``worse than bound``: the change's median is worse than the parent's by
   more than the bound;
@@ -31,9 +32,11 @@ parent's.  ``--claim`` names a gain to judge: it is met when the change
 wins at least nine tenths of the pairs, the medians differ, in the better
 direction, by more than the parent's interquartile range, and the
 change's failed share on that workload is no larger than the parent's.
+The ratios are reported only: no verdict or claim reads them.
 The JSON report goes to ``--out`` or to standard output; a run that
 exits with an error stops the tool with exit code 2 and its standard error.
-It uses the standard library only.
+SIGTERM stops the tool with exit code 143 after it has killed the current
+run and removed its temporary directory.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -135,9 +139,11 @@ def spread(runs: list) -> dict:
 
 
 def judge(metric: dict, parent: list, change: list) -> dict:
-    """Both sides' figures for one metric, the pairs won and the verdict."""
+    """Both sides' figures for one metric, the per-pair ratios, the pairs
+    won and the verdict."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     p, c = spread(parent), spread(change)
+    ratios = [b / a if a else math.nan for a, b in zip(parent, change)]
     won = sum(sign * (b - a) < 0.0 for a, b in zip(parent, change))
     iqr = p["q3"] - p["q1"]
     base = p["median"]
@@ -158,6 +164,8 @@ def judge(metric: dict, parent: list, change: list) -> dict:
         "change_runs": change,
         "parent": p,
         "change": c,
+        "pair_ratios": ratios,
+        "pair_ratio": spread(ratios),
         "change_won_pairs": won,
         "pairs": len(parent),
         "median_change": f"{relative:+.1%}",
@@ -196,7 +204,14 @@ def share_larger(ops: dict) -> bool:
     return change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]
 
 
+def _terminate(signum, frame):
+    """SIGTERM as an exception, so that ``subprocess.run`` kills its run and
+    the temporary directory is removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _terminate)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="the parent commit, any git revision")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
@@ -282,8 +297,10 @@ def main(argv=None) -> int:
         print(text)
     for workload, figures in report["end_to_end"].items():
         for name, f in figures.items():
+            r = f["pair_ratio"]
             print(f"{workload:<14} {name:<17} {f['parent']['median']:.6g} -> "
-                  f"{f['change']['median']:.6g} ({f['median_change']}, won "
+                  f"{f['change']['median']:.6g} ({f['median_change']}, pair ratio "
+                  f"{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}], won "
                   f"{f['change_won_pairs']}/{f['pairs']}): {f['verdict']}", file=sys.stderr)
     for workload, ops in report["operations"].items():
         if share_larger(ops):
